@@ -38,25 +38,31 @@ class Certificate:
         return json.dumps(doc)
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bool, which Python counts as int
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed certificate JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "set" not in doc:
-        raise DomainError("certificate JSON must be an object with a 'set' field")
+    if not isinstance(doc, dict) or not isinstance(doc.get("set"), list):
+        raise DomainError("certificate JSON must be an object with a 'set' list")
     members = []
     for entry in doc["set"]:
         if isinstance(entry, list):
-            members.append(tuple(sorted(int(e) for e in entry)))
-        elif isinstance(entry, int):
-            members.append(entry)
+            members.append(tuple(sorted(_json_int(e, "set element") for e in entry)))
         else:
-            raise DomainError(f"unsupported set entry {entry!r}")
+            members.append(_json_int(entry, "set entry"))
+    n, k = doc.get("n"), doc.get("k")
     return Certificate(
-        d=int(doc.get("d", 1)),
+        d=_json_int(doc.get("d", 1), "d"),
         members=tuple(members),
         provenance="user",
-        n=doc.get("n"),
-        k=doc.get("k"),
+        n=None if n is None else _json_int(n, "n"),
+        k=None if k is None else _json_int(k, "k"),
     )

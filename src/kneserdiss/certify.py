@@ -147,12 +147,7 @@ def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
 
     lmask = 0
     for item in subset:
-        idx = item if isinstance(item, int) and not isinstance(item, bool) else None
-        if idx is None:
-            idx = g.vertex_index(item)
-        if not 0 <= idx < g.order:
-            raise DomainError(f"vertex index {idx} out of range")
-        lmask |= 1 << idx
+        lmask |= 1 << g.vertex_index(item)
     if lmask == 0:
         raise DomainError("L must be nonempty")
     if lmask & ~center:

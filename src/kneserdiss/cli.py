@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from . import bounds, certify, solver
-from .certificates import Certificate, certificate_from_json
+from .certificates import certificate_from_json
 from .errors import CapacityError, DomainError, SearchFailure
 from .graphs import bits, read_dimacs, write_dimacs
-from .kneser import KneserGraph, build_kneser, kneser_from_json, kneser_to_json
+from .kneser import (build_kneser, certificate_mask, enumerate_k_subsets,
+                     kneser_from_json, kneser_to_json)
 
 
 def _parse_duration(text: str) -> float:
@@ -63,8 +64,11 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     budget = _budget_from_args(args)
     result = solver.solve_kneser(args.n, args.k, args.max_degree, budget)
-    g = build_kneser(args.n, args.k)
-    print(json.dumps(result.to_json_dict(g)))
+    # the witness indexes the canonical enumeration; no second graph build
+    verts = enumerate_k_subsets(args.n, args.k)
+    doc = result.to_json_dict()
+    doc["witness"] = [list(verts[v].elements) for v in bits(result.witness)]
+    print(json.dumps(doc))
     return 0 if result.optimal else 3
 
 
@@ -82,26 +86,12 @@ def _load_graph(path: str):
     return read_dimacs(text)
 
 
-def _certificate_mask_on(g, cert: Certificate) -> int:
-    mask = 0
-    for member in cert.members:
-        if isinstance(member, tuple):
-            if not isinstance(g, KneserGraph):
-                raise DomainError("element-list certificate needs a Kneser graph")
-            mask |= 1 << g.vertex_index(member)
-        else:
-            if not 1 <= member <= g.order:
-                raise DomainError(f"vertex index {member} out of range")
-            mask |= 1 << (member - 1)
-    return mask
-
-
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     with open(args.certificate) as fh:
         cert = certificate_from_json(fh.read())
     d = args.max_degree if args.max_degree is not None else cert.d
-    mask = _certificate_mask_on(g, cert)
+    mask = certificate_mask(g, cert)
     valid = certify.check_max_degree(g, mask, d)
     print(cert.to_json(valid=valid))
     return 0 if valid else 1

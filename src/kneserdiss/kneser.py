@@ -3,15 +3,20 @@
 Vertices of K(n, k) are the k-element subsets of {1, ..., n}, encoded as
 n-bit masks with bit i-1 set iff element i is in the subset, and ordered
 lexicographically by sorted element list.  Two vertices are adjacent iff
-their masks are disjoint, so the whole adjacency test is one AND.  The
-ground set is capped at n <= 64 so a subset always fits a machine word.
+their masks are disjoint.  The ground set is capped at n <= 64 so a
+subset always fits a machine word.
+
+Graphs are built from the n centers: C_e is the bitset of vertices that
+contain element e, and the row of vertex v is every vertex outside the
+union of C_e over e in v.  ``certificate_mask`` is the one place that turns
+a certificate into a vertex bitset.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from math import comb
@@ -23,9 +28,6 @@ from .graphs import GenericGraph, bits
 MAX_GROUND_SET = 64
 DEFAULT_VERTEX_CAP = 2_000_000
 VERTEX_CAP_ENV = "KNESER_VERTEX_CAP"
-
-# above this order, adjacency rows are built with vectorized mask arithmetic
-_BULK_BUILD_THRESHOLD = 1024
 
 
 def vertex_cap() -> int:
@@ -100,6 +102,8 @@ class KneserGraph(GenericGraph):
     n: int = 0
     k: int = 0
     vertices: tuple[KSubset, ...] = ()
+    # centers[e-1]: bitset of the vertices that contain element e
+    centers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -124,12 +128,7 @@ class KneserGraph(GenericGraph):
         """Bitset of all vertices whose subset contains element i."""
         if not 1 <= i <= self.n:
             raise DomainError(f"element {i} outside [1, {self.n}]")
-        bit = 1 << (i - 1)
-        m = 0
-        for idx, v in enumerate(self.vertices):
-            if v.mask & bit:
-                m |= 1 << idx
-        return m
+        return self.centers[i - 1]
 
     def vertex_set_elements(self, s: int) -> tuple[tuple[int, ...], ...]:
         """Element tuples of the vertices in bitset ``s``."""
@@ -140,36 +139,26 @@ def sorted_elements(mask: int) -> list[int]:
     return [b + 1 for b in bits(mask)]
 
 
-def _adjacency_rows(masks: list[int]) -> list[int]:
-    order = len(masks)
-    if order <= _BULK_BUILD_THRESHOLD:
-        rows = []
-        for i, mi in enumerate(masks):
-            row = 0
-            for j, mj in enumerate(masks):
-                if i != j and mi & mj == 0:
-                    row |= 1 << j
-            rows.append(row)
-        return rows
-    import numpy as np
-
-    arr = np.asarray(masks, dtype=np.uint64)
-    rows = []
-    for i in range(order):
-        disjoint = (arr & arr[i]) == 0
-        packed = np.packbits(disjoint, bitorder="little").tobytes()
-        rows.append(int.from_bytes(packed, "little"))
-    return rows
-
-
 def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
     """Construct K(n, k).  Requires n >= 2k >= 2 and C(n,k) within the cap."""
     if k < 1 or n < 2 * k:
         raise DomainError(f"K({n},{k}) needs n >= 2k >= 2")
     verts = enumerate_k_subsets(n, k, cap=cap)
-    adj = _adjacency_rows([v.mask for v in verts])
+    centers = [0] * n
+    for idx, v in enumerate(verts):
+        for b in bits(v.mask):
+            centers[b] |= 1 << idx
+    full = (1 << len(verts)) - 1
+    # v lies in its own centers, so its row never holds v itself
+    adj = []
+    for v in verts:
+        meets = 0
+        for b in bits(v.mask):
+            meets |= centers[b]
+        adj.append(full ^ meets)
     return KneserGraph(
-        order=len(verts), adj=tuple(adj), n=n, k=k, vertices=tuple(verts)
+        order=len(verts), adj=tuple(adj), n=n, k=k, vertices=tuple(verts),
+        centers=tuple(centers),
     )
 
 
@@ -192,12 +181,26 @@ def edge_nonneighbors(g: KneserGraph, x, y) -> int:
     return g.full_mask & ~closed
 
 
-def certificate_mask(g: KneserGraph, cert: Certificate) -> int:
-    """Vertex bitset of a certificate's members on graph g."""
-    m = 0
+def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
+    """Vertex bitset of a certificate's members on g.
+
+    Members are element tuples on a Kneser graph, whose n and k the
+    certificate must match when it names them, or 1-based vertex indices
+    on any graph.
+    """
+    if isinstance(g, KneserGraph) and not (cert.n in (None, g.n) and cert.k in (None, g.k)):
+        raise DomainError(f"certificate names n={cert.n} k={cert.k}, graph is K({g.n},{g.k})")
+    mask = 0
     for member in cert.members:
-        m |= 1 << g.vertex_index(member)
-    return m
+        if isinstance(member, tuple):
+            if not isinstance(g, KneserGraph):
+                raise DomainError("element-list certificate needs a Kneser graph")
+            mask |= 1 << g.vertex_index(member)
+        elif 1 <= member <= g.order:
+            mask |= 1 << (member - 1)
+        else:
+            raise DomainError(f"vertex index {member} out of range")
+    return mask
 
 
 def kneser_to_json(g: KneserGraph) -> str:
@@ -214,10 +217,12 @@ def kneser_from_json(text: str) -> KneserGraph:
     try:
         n, k = int(doc["n"]), int(doc["k"])
         listed = [tuple(v) for v in doc["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"graph JSON missing field: {exc}") from exc
-    g = build_kneser(n, k)
-    canonical = [v.elements for v in g.vertices]
-    if listed != canonical:
+        # compared before building, so a wrong list never costs an adjacency build
+        canonical = len(listed) == comb(n, k) and all(
+            v == c for v, c in zip(listed, combinations(range(1, n + 1), k))
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"malformed graph JSON: {exc}") from exc
+    if not canonical:
         raise DomainError("vertex list does not match canonical enumeration")
-    return g
+    return build_kneser(n, k)

@@ -29,7 +29,7 @@ from .certificates import Certificate
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits
-from .kneser import KneserGraph, build_kneser
+from .kneser import KneserGraph, build_kneser, certificate_mask
 
 BRUTE_FORCE_CAP = 26
 _SYNC_INTERVAL = 2048  # nodes between time/shared-incumbent checks
@@ -447,13 +447,6 @@ def heuristic_lower(n: int, k: int) -> Certificate:
     return Certificate(d=1, members=members, provenance="heuristic", n=n, k=k)
 
 
-def _certificate_vertex_mask(g: KneserGraph, cert: Certificate) -> int:
-    m = 0
-    for member in cert.members:
-        m |= 1 << g.vertex_index(member)
-    return m
-
-
 def solve_kneser(
     n: int, k: int, d: int = 1, budget: SearchBudget | None = None
 ) -> SolveResult:
@@ -462,7 +455,8 @@ def solve_kneser(
     Vertex-transitivity lets the search assume the vertex {1,...,k} is in
     some maximum solution; for d=1 the incumbent starts at the best known
     construction and the search stops once it meets the bound interval's
-    upper end.
+    upper end.  For d=0 the center meets the Erdos-Ko-Rado bound, so no
+    search runs.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
@@ -478,9 +472,12 @@ def solve_kneser(
             b.name for b in rep.upper_bounds if b.value == rep.best_upper
         )
         cert = heuristic_lower(n, k)
-        seed_witness = _certificate_vertex_mask(g, cert)
+        seed_witness = certificate_mask(g, cert)
         seed = len(cert)
     elif d == 0:
+        # Erdos-Ko-Rado: a center is a maximum independent set
+        stop_at = bounds.alpha_kneser(n, k)
+        bound_source = "independence_number"
         seed_witness = g.center_mask(1)
         seed = seed_witness.bit_count()
     else:

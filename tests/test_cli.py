@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import kneserdiss.cli as cli_module
 import kneserdiss.solver as solver_module
 from kneserdiss import SolveResult, build_kneser, kneser_from_json
 from kneserdiss.cli import main
@@ -36,8 +37,17 @@ def test_gen_json_round_trip(capsys):
     assert rebuilt.adj == build_kneser(6, 2).adj
 
 
-def test_solve_petersen(capsys):
+def test_solve_petersen(capsys, monkeypatch):
+    builds = []
+
+    def counting(n, k, cap=None):
+        builds.append((n, k))
+        return build_kneser(n, k, cap)
+
+    monkeypatch.setattr(solver_module, "build_kneser", counting)
+    monkeypatch.setattr(cli_module, "build_kneser", counting)
     code, out, _ = run(capsys, "solve", "5", "2")
+    assert builds == [(5, 2)]
     assert code == 0
     doc = json.loads(out)
     assert doc["size"] == 6 and doc["optimal"] is True
@@ -137,15 +147,26 @@ def test_verify_kneser_json_graph(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(graph), str(cert), "--max-degree", "0")
     assert code == 1
     assert json.loads(out)["valid"] is False
+    # every member is a vertex of K(5,2) too, but the certificate names K(6,2)
+    cert.write_text(json.dumps({"n": 6, "k": 2, "d": 1, "set": PROP_SET}))
+    code, _, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2
+    assert "K(5,2)" in err
 
 
 def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
     graph, _ = petersen_files
     bad = tmp_path / "bad.json"
-    bad.write_text("{this is not json")
-    code, _, err = run(capsys, "verify", str(graph), str(bad))
-    assert code == 2
-    assert err
+    for text in (
+        "{this is not json",
+        '{"d": "x", "set": [1]}',
+        '{"d": 1, "set": [true]}',
+        '{"n": 5, "k": 2, "d": 1, "set": [[1, true]]}',
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", str(graph), str(bad))
+        assert code == 2, text
+        assert err
 
 
 def test_verify_missing_file_exit_2(petersen_files, capsys):

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kneserdiss
+import kneserdiss.kneser as kneser_module
 from kneserdiss import (
     CapacityError,
     DomainError,
@@ -246,11 +251,30 @@ def test_json_round_trip():
     assert (h.n, h.k) == (6, 2) and h.adj == g.adj
 
 
-def test_json_rejects_noncanonical_vertices():
+def test_json_rejects_noncanonical_vertices(monkeypatch):
     g = build_kneser(4, 2)
     doc = json.loads(kneser_to_json(g))
     doc["vertices"][0], doc["vertices"][1] = doc["vertices"][1], doc["vertices"][0]
-    with pytest.raises(DomainError):
-        kneser_from_json(json.dumps(doc))
+    shuffled = json.loads(kneser_to_json(build_kneser(8, 3)))
+    random.Random(5).shuffle(shuffled["vertices"])
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a rejected file must not be built")
+
+    # the vertex list is checked before any adjacency is built
+    monkeypatch.setattr(kneser_module, "build_kneser", no_build)
+    for bad in (doc, shuffled):
+        with pytest.raises(DomainError):
+            kneser_from_json(json.dumps(bad))
     with pytest.raises(DomainError):
         kneser_from_json("{not json")
+
+
+def test_build_needs_no_numpy():
+    src = os.path.dirname(os.path.dirname(kneserdiss.__file__))
+    code = (
+        "import sys, kneserdiss; kneserdiss.build_kneser(20, 6); "
+        "assert 'numpy' not in sys.modules"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

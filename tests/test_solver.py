@@ -4,6 +4,8 @@ import pytest
 
 from kneserdiss import (
     CapacityError,
+    Certificate,
+    DomainError,
     SearchBudget,
     brute_force,
     build_kneser,
@@ -15,7 +17,9 @@ from kneserdiss import (
     solve,
     solve_kneser,
 )
-from support import random_graph, small_kneser_parameters
+from kneserdiss.graphs import bits
+from kneserdiss.kneser import certificate_mask
+from support import pascal_binom, random_graph, small_kneser_parameters
 
 
 def test_solve_petersen_dissociation():
@@ -172,10 +176,14 @@ def test_witness_certificate_round_trip():
     res = solve(g, 1)
     cert = witness_certificate(g, res, 1)
     assert cert.provenance == "solver" and len(cert) == 6
-    mask = 0
-    for member in cert.members:
-        mask |= 1 << g.vertex_index(member)
-    assert mask == res.witness
+    assert certificate_mask(g, cert) == res.witness
+    # integer members are 1-based vertex indices, as on generic graphs
+    indexed = Certificate(d=1, members=tuple(v + 1 for v in bits(res.witness)))
+    assert certificate_mask(g, indexed) == res.witness
+    with pytest.raises(DomainError):
+        certificate_mask(g, Certificate(d=1, members=(g.order + 1,)))
+    with pytest.raises(DomainError):
+        certificate_mask(build_kneser(6, 2), cert)
 
 
 def test_psi3_duality():
@@ -200,3 +208,9 @@ def test_kneser_wrapper_other_degrees():
     r2 = solve_kneser(5, 2, 2)
     assert r2.optimal
     assert r2.best_size == brute_force(build_kneser(5, 2), 2)
+    # at d=0 the Erdos-Ko-Rado bound closes the search before it starts
+    for n, k in ((9, 3), (10, 4)):
+        r0 = solve_kneser(n, k, 0)
+        assert r0.best_size == pascal_binom(n - 1, k - 1)
+        assert r0.optimal and r0.nodes_explored == 0
+        assert r0.bound_source == "independence_number"
