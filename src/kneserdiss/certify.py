@@ -8,7 +8,6 @@ k-sets appearing as cyclic substrings of arrangements of [n].
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
@@ -76,7 +75,6 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
     xs = list(x_side)
     if len(xs) > X_SIDE_CAP:
         raise CapacityError(f"matching capped at |X| <= {X_SIDE_CAP}")
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(xs) + 200))
     ys = set(y_side)
     nbr: dict = {x: [] for x in xs}
     for x, y in edges:
@@ -87,20 +85,33 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
 
     match_y: dict = {}  # y -> x
 
-    def try_augment(x, seen_y) -> bool:
-        for y in nbr[x]:
-            if y in seen_y:
+    def try_augment(x0) -> bool:
+        # depth-first search for an augmenting path from x0 on an explicit
+        # stack: paths can be as long as X is, far past the recursion limit
+        seen_y = set()
+        stack = [(x0, iter(nbr[x0]))]
+        path = []  # path[i]: the y that stack[i]'s x tries
+        while stack:
+            for y in stack[-1][1]:
+                if y not in seen_y:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             seen_y.add(y)
-            if y not in match_y or try_augment(match_y[y], seen_y):
-                match_y[y] = x
+            path.append(y)
+            if y not in match_y:
+                # flip the path: every x on the stack takes the y it tried
+                for (x, _), py in zip(stack, path):
+                    match_y[py] = x
                 return True
+            partner = match_y[y]
+            stack.append((partner, iter(nbr[partner])))
         return False
 
-    unmatched = []
-    for x in xs:
-        if not try_augment(x, set()):
-            unmatched.append(x)
+    unmatched = [x for x in xs if not try_augment(x)]
 
     if not unmatched:
         match_x = {x: y for y, x in match_y.items()}

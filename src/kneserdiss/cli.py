@@ -31,12 +31,9 @@ def _parse_duration(text: str) -> float:
     elif text.endswith("s"):
         text = text[:-1]
     try:
-        value = float(text) * factor
+        return float(text) * factor
     except ValueError:
         raise DomainError(f"bad duration {text!r}") from None
-    if value <= 0:
-        raise DomainError("duration must be positive")
-    return value
 
 
 def _budget_from_args(args) -> solver.SearchBudget:

@@ -105,6 +105,13 @@ def write_dimacs(g: GenericGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dimacs_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"line {lineno}: {token!r} is not an integer") from None
+
+
 def read_dimacs(text: str) -> GenericGraph:
     order = None
     declared_edges = None
@@ -117,11 +124,14 @@ def read_dimacs(text: str) -> GenericGraph:
         if tok[0] == "p":
             if len(tok) != 4 or tok[1] != "edge":
                 raise DomainError(f"line {lineno}: bad problem line {line!r}")
-            order, declared_edges = int(tok[2]), int(tok[3])
+            order = _dimacs_int(tok[2], lineno)
+            declared_edges = _dimacs_int(tok[3], lineno)
         elif tok[0] == "e":
             if order is None:
                 raise DomainError(f"line {lineno}: edge before problem line")
-            u, v = int(tok[1]), int(tok[2])
+            if len(tok) != 3:
+                raise DomainError(f"line {lineno}: bad edge line {line!r}")
+            u, v = _dimacs_int(tok[1], lineno), _dimacs_int(tok[2], lineno)
             if not (1 <= u <= order and 1 <= v <= order):
                 raise DomainError(f"line {lineno}: vertex out of range")
             edges.append((u - 1, v - 1))

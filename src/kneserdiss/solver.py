@@ -10,6 +10,15 @@ picked, so every undecided vertex has at most one included neighbor.  The
 counting bound and the exact endgame closure both fall out of that
 invariant.  A slower counter-based engine covers arbitrary d.
 
+The general-d engine bounds each node by degree counting inside
+R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
+chosen <= S <= R, satisfies sum over S of (2r(s) - d) <= 2e(R): each s in
+S has at most d neighbours in S, so sum r(s) - d|S| <= e(S, R - S) <=
+sum over R - S of r(w).  The node's bound is count + t, where t is the
+largest number of free vertices whose smallest weights 2r - d, added to
+the chosen vertices' weights, stay within 2e(R).  No regularity is
+assumed, so the bound holds on any graph.
+
 ``solve_kneser`` adds what is only sound for Kneser graphs: the canonical
 first vertex may be forced into the solution (vertex-transitivity), the
 incumbent is seeded with the best known construction, and the root is
@@ -21,6 +30,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -44,6 +54,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.thread_count < 1:
             raise DomainError("thread_count must be >= 1")
+        if self.max_nodes is not None and self.max_nodes < 1:
+            raise DomainError("max_nodes must be >= 1")
+        if self.max_time is not None and not self.max_time > 0:  # NaN too
+            raise DomainError("max_time must be positive")
 
 
 UNLIMITED = SearchBudget()
@@ -100,9 +114,15 @@ def _branch_vertex(adj, free):
     return best_v, best_d
 
 
-def _deg1_children(adj, state):
-    """Include/exclude children for the branch vertex, or None at the endgame."""
+def _deg1_children(adj, state, incumbent):
+    """Include/exclude children for the branch vertex, [] when the counting
+    bound prunes, or None at the endgame."""
     free, unsat, seen, chosen, count = state
+    # undecided vertices off ``seen`` may all join; those on it, at most
+    # one per unsaturated vertex
+    sc = (seen & free).bit_count()
+    if count + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
+        return []
     v, bd = _branch_vertex(adj, free)
     if bd <= 0:
         # no undecided-undecided edges left: the closure is exact
@@ -146,13 +166,6 @@ def _deg1_closure(adj, state):
     return size, wit
 
 
-def _deg1_bound(state):
-    free, unsat, seen, _, count = state
-    f = free.bit_count()
-    sc = (seen & free).bit_count()
-    return count + (f - sc) + min(sc, unsat.bit_count())
-
-
 # ---------------------------------------------------------------------------
 # general-d engine (free, caps tuple, chosen, count)
 # ---------------------------------------------------------------------------
@@ -174,11 +187,49 @@ def _degd_root(adj, order, d, fixed: int | None):
     return (nfree, tuple(caps), 1 << fixed, 1)
 
 
-def _degd_children(adj, d, state):
+def _degd_children(adj, d, state, incumbent):
+    """Include/exclude children, [] when the degree-counting bound prunes,
+    or None once nothing is undecided.
+
+    One pass over R = free | chosen picks the branch vertex (maximum
+    undecided-degree, lowest index on ties) and collects what the bound in
+    the module docstring needs: the weights 2r(v) - d of the free vertices
+    and the slack 2e(R) minus the chosen vertices' weights.
+    """
     free, caps, chosen, count = state
-    v, _ = _branch_vertex(adj, free)
-    if v < 0:
+    need = incumbent - count + 1  # free vertices a better completion must add
+    if free.bit_count() < need:
+        return []
+    if not free:
         return None
+    live = free | chosen
+    slack = 0
+    m = chosen
+    while m:
+        lsb = m & -m
+        slack += d - (adj[lsb.bit_length() - 1] & live).bit_count()
+        m ^= lsb
+    weights = []
+    v, best_d = -1, -1
+    m = free
+    while m:
+        lsb = m & -m
+        u = lsb.bit_length() - 1
+        m ^= lsb
+        a = adj[u]
+        r = (a & live).bit_count()
+        slack += r
+        weights.append(2 * r - d)
+        du = (a & free).bit_count()
+        if du > best_d:
+            best_d, v = du, u
+    # feasible t form a prefix of 0, 1, 2, ..., so t >= need iff the need
+    # smallest weights fit in the slack
+    if need > 0:
+        weights.sort()
+        if sum(weights[:need]) > slack:
+            return []
+
     vbit = 1 << v
     out = []
     feasible = caps[v] >= 0
@@ -205,28 +256,9 @@ def _degd_children(adj, d, state):
     return out
 
 
-def _clique_cover_count(adj, free):
-    """Greedy clique partition size: an upper bound on independence number."""
-    count = 0
-    rem = free
-    while rem:
-        lsb = rem & -rem
-        v = lsb.bit_length() - 1
-        clique = lsb
-        cand = adj[v] & rem
-        while cand:
-            ul = cand & -cand
-            clique |= ul
-            cand &= adj[ul.bit_length() - 1]
-        rem &= ~clique
-        count += 1
-    return count
-
-
-def _degd_bound(adj, d, state):
-    free, _, _, count = state
-    f = free.bit_count()
-    return count + min(f, (d + 1) * _clique_cover_count(adj, free))
+def _degd_closure(state):
+    """Nothing is undecided: the chosen set is the whole completion."""
+    return state[3], state[2]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +276,18 @@ class _Outcome:
         self.completed = completed
 
 
+def _engine(adj, d):
+    """(children, closure) for d.
+
+    ``children(state, incumbent)`` returns [] when the node's bound is at
+    most ``incumbent``, None at the endgame, and the include-first children
+    otherwise; ``closure(state)`` gives the endgame's exact (size, witness).
+    """
+    if d == 1:
+        return partial(_deg1_children, adj), partial(_deg1_closure, adj)
+    return partial(_degd_children, adj, d), _degd_closure
+
+
 def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
     """Depth-first search from ``root``; returns an _Outcome.
 
@@ -251,15 +295,7 @@ def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
     best size this search actually constructed a witness for, -1 if none,
     so callers never mistake a borrowed incumbent for a solution.
     """
-    if d == 1:
-        children_of = lambda s: _deg1_children(adj, s)
-        bound_of = _deg1_bound
-        closure_of = lambda s: _deg1_closure(adj, s)
-    else:
-        children_of = lambda s: _degd_children(adj, d, s)
-        bound_of = lambda s: _degd_bound(adj, d, s)
-        closure_of = None
-
+    children_of, closure_of = _engine(adj, d)
     incumbent = prune_seed
     found = -1
     witness = 0
@@ -280,14 +316,9 @@ def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
                 incumbent = shared.value
         if stop_at is not None and incumbent >= stop_at:
             break
-        if bound_of(state) <= incumbent:
-            continue
-        kids = children_of(state)
+        kids = children_of(state, incumbent)
         if kids is None:
-            if closure_of is not None:
-                size, wit = closure_of(state)
-            else:
-                size, wit = state[3], state[2]
+            size, wit = closure_of(state)
             if size > incumbent:
                 incumbent = found = size
                 witness = wit
@@ -309,7 +340,7 @@ def _expand_frontier(children_of, root, want):
     expansions = 0
     while frontier and len(tasks) + len(frontier) < want:
         state = frontier.pop(0)
-        kids = children_of(state)
+        kids = children_of(state, -1)  # no incumbent yet: nothing is pruned
         expansions += 1
         if kids is None:
             tasks.append(state)
@@ -359,8 +390,7 @@ def _solve_root(g, d, budget, root, seed, seed_witness, stop_at, bound_source):
         nodes, completed = out.nodes, out.completed
         results = [(out.found, out.witness)]
     else:
-        children_of = (lambda s: _deg1_children(adj, s)) if d == 1 else (
-            lambda s: _degd_children(adj, d, s))
+        children_of, _ = _engine(adj, d)
         tasks, expansions = _expand_frontier(children_of, root,
                                              budget.thread_count * 8)
         per_task_nodes = None

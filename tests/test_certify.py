@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -79,6 +80,24 @@ def test_matching_pigeonhole_violator():
     res = find_x_matching(["a", "b"], ["c"], [("a", "c"), ("b", "c")])
     assert not res.saturated
     assert res.violator == {"a", "b"}
+
+
+def test_matching_long_augmenting_paths():
+    # x_i sees y_{i-1} then y_i, and x_0 sees only y_0.  x_1..x_{n-1} take
+    # their first choice; x_0, last, then needs a path through all of them
+    n = 5_000
+    xs = [f"x{i}" for i in range(1, n)] + ["x0"]
+    ys = [f"y{j}" for j in range(n)]
+    edges = [("x0", "y0")]
+    for i in range(1, n):
+        edges += [(f"x{i}", f"y{i - 1}"), (f"x{i}", f"y{i}")]
+    limit = sys.getrecursionlimit()
+    res = find_x_matching(xs, ys, edges)
+    assert sys.getrecursionlimit() == limit
+    assert res.saturated
+    pairs = dict(res.matching)
+    assert set(pairs) == set(xs) and len(set(pairs.values())) == n
+    assert all(pairs[f"x{i}"] == f"y{i}" for i in range(n))
 
 
 def test_matching_random_instances_verified():

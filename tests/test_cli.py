@@ -73,6 +73,13 @@ def test_solve_budget_exhaustion_exit_3(capsys):
     assert json.loads(out)["optimal"] is False
 
 
+def test_solve_rejects_budget_that_cannot_run(capsys):
+    for flags in (("--max-nodes", "-5"), ("--max-nodes", "0"), ("--max-time", "0s")):
+        code, out, err = run(capsys, "solve", "7", "3", *flags)
+        assert code == 2, flags
+        assert out == "" and "error:" in err
+
+
 def test_solve_max_degree_flag(capsys):
     code, out, _ = run(capsys, "solve", "5", "2", "--max-degree", "0")
     assert code == 0
@@ -167,6 +174,17 @@ def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(graph), str(bad))
         assert code == 2, text
         assert err
+
+
+def test_verify_non_integer_dimacs_exit_2(petersen_files, capsys, tmp_path):
+    _, cert = petersen_files
+    graph = tmp_path / "bad.dimacs"
+    for text, lineno in (("p edge 3 x\n", 1), ("p edge 3 1\ne 1 x\n", 2),
+                         ("p edge 3 1\ne 1\n", 2)):
+        graph.write_text(text)
+        code, _, err = run(capsys, "verify", str(graph), str(cert))
+        assert code == 2, text
+        assert f"line {lineno}" in err and "Traceback" not in err
 
 
 def test_verify_missing_file_exit_2(petersen_files, capsys):

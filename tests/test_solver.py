@@ -76,7 +76,7 @@ def test_brute_force_cap():
 def test_oracle_equivalence_on_small_kneser_graphs():
     for n, k in small_kneser_parameters(20):
         g = build_kneser(n, k)
-        for d in (0, 1, 2):
+        for d in (0, 1, 2, 3, 4):
             assert solve(g, d).best_size == brute_force(g, d), (n, k, d)
 
 
@@ -86,7 +86,7 @@ def test_oracle_equivalence_on_random_graphs_quick():
         order = rng.randint(4, 14)
         p = (0.2, 0.5, 0.8)[i % 3]
         g = random_graph(order, p, rng)
-        for d in (0, 1, 2):
+        for d in (0, 1, 2, 3, 4):
             res = solve(g, d)
             assert res.best_size == brute_force(g, d), (i, order, p, d)
             assert check_max_degree(g, res.witness, d)
@@ -124,6 +124,14 @@ def test_budget_exhaustion_returns_incumbent():
     assert not optimal
 
 
+def test_budget_rejects_limits_that_cannot_run():
+    for kwargs in ({"max_nodes": 0}, {"max_nodes": -5}, {"max_time": 0},
+                   {"max_time": -1.0}, {"max_time": float("nan")}):
+        with pytest.raises(DomainError):
+            SearchBudget(**kwargs)
+    assert SearchBudget(max_nodes=1, max_time=0.5).max_nodes == 1
+
+
 def test_time_budget_exhaustion():
     # K(9,4) is far out of reach; the deadline must cut the search short
     g = build_kneser(9, 4)
@@ -133,26 +141,30 @@ def test_time_budget_exhaustion():
 
 
 def test_single_thread_determinism():
-    a = solve(build_kneser(7, 3), 1)
-    b = solve(build_kneser(7, 3), 1)
-    assert (a.best_size, a.witness, a.nodes_explored) == (
-        b.best_size, b.witness, b.nodes_explored
-    )
+    for (n, k), d in (((7, 3), 1), ((8, 2), 2)):
+        a = solve(build_kneser(n, k), d)
+        b = solve(build_kneser(n, k), d)
+        assert (a.best_size, a.witness, a.nodes_explored) == (
+            b.best_size, b.witness, b.nodes_explored
+        ), (n, k, d)
 
 
 def test_thread_count_size_invariance():
     rng = random.Random(3)
-    instances = [build_kneser(7, 3), build_kneser(8, 3)] + [
-        random_graph(16, 0.4, rng) for _ in range(2)
-    ]
-    for g in instances:
-        sizes = set()
-        for tc in (1, 2, 4):
-            res = solve(g, 1, SearchBudget(thread_count=tc))
-            assert res.optimal
-            assert check_max_degree(g, res.witness, 1)
-            sizes.add(res.best_size)
-        assert len(sizes) == 1
+    # d=1 runs the bitmask engine, d=2 the general-d engine's pool path
+    for d, kneser, counts in ((1, ((7, 3), (8, 3)), (1, 2, 4)),
+                              (2, ((7, 2), (8, 2)), (1, 2))):
+        instances = [build_kneser(n, k) for n, k in kneser] + [
+            random_graph(16, 0.4, rng) for _ in range(2)
+        ]
+        for g in instances:
+            sizes = set()
+            for tc in counts:
+                res = solve(g, d, SearchBudget(thread_count=tc))
+                assert res.optimal
+                assert check_max_degree(g, res.witness, d)
+                sizes.add(res.best_size)
+            assert len(sizes) == 1, (d, g.order)
 
 
 def test_heuristic_lower():
