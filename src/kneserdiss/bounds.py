@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 
 from .errors import DomainError, SearchFailure
 
@@ -137,7 +137,7 @@ def katona_upper_large_r(n: int, k: int) -> int | None:
     """
     _require_kneser(n, k, min_k=2)
     frac = _katona_large_r_fraction(n, k)
-    return None if frac is None else frac.numerator // frac.denominator
+    return None if frac is None else floor(frac)
 
 
 def katona_upper_small_r(n: int, k: int) -> int | None:
@@ -148,7 +148,7 @@ def katona_upper_small_r(n: int, k: int) -> int | None:
     """
     _require_kneser(n, k, min_k=2)
     frac = _katona_small_r_fraction(n, k)
-    return None if frac is None else frac.numerator // frac.denominator
+    return None if frac is None else floor(frac)
 
 
 def alpha_equality_lower(k: int) -> int:
@@ -241,16 +241,11 @@ def report(n: int, k: int) -> BoundReport:
         BoundEntry("twice_independence", 2 * alpha),
         BoundEntry("case_split", max(alpha, 2 + count)),
     ]
-    frac = _katona_large_r_fraction(n, k)
-    if frac is not None:
-        upper.append(
-            BoundEntry("katona_large_r", frac.numerator // frac.denominator, frac)
-        )
-    frac = _katona_small_r_fraction(n, k)
-    if frac is not None:
-        upper.append(
-            BoundEntry("katona_small_r", frac.numerator // frac.denominator, frac)
-        )
+    for name, fraction in (("katona_large_r", _katona_large_r_fraction),
+                           ("katona_small_r", _katona_small_r_fraction)):
+        frac = fraction(n, k)
+        if frac is not None:
+            upper.append(BoundEntry(name, floor(frac), frac))
 
     # the interval is formed from the bound lists alone; known_exact rides
     # alongside so that solver pruning never quotes the value it must prove

@@ -8,9 +8,27 @@ vertex indices ``0 .. order-1``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
+
+DEFAULT_VERTEX_CAP = 2_000_000
+VERTEX_CAP_ENV = "KNESER_VERTEX_CAP"
+
+
+def vertex_cap() -> int:
+    """Largest vertex count a graph may have: ``KNESER_VERTEX_CAP`` or the default."""
+    raw = os.environ.get(VERTEX_CAP_ENV)
+    if raw is None:
+        return DEFAULT_VERTEX_CAP
+    try:
+        cap = int(raw)
+    except ValueError as exc:
+        raise CapacityError(f"{VERTEX_CAP_ENV}={raw!r} is not an integer") from exc
+    if cap <= 0:
+        raise CapacityError(f"{VERTEX_CAP_ENV} must be positive")
+    return cap
 
 
 def bits(mask: int):
@@ -126,6 +144,10 @@ def read_dimacs(text: str) -> GenericGraph:
                 raise DomainError(f"line {lineno}: bad problem line {line!r}")
             order = _dimacs_int(tok[2], lineno)
             declared_edges = _dimacs_int(tok[3], lineno)
+            # checked before graph_from_edges allocates a row per vertex
+            cap = vertex_cap()
+            if order > cap:
+                raise CapacityError(f"line {lineno}: {order} vertices exceed the vertex cap {cap}")
         elif tok[0] == "e":
             if order is None:
                 raise DomainError(f"line {lineno}: edge before problem line")

@@ -15,7 +15,6 @@ a certificate into a vertex bitset.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -23,24 +22,10 @@ from math import comb
 
 from .certificates import Certificate
 from .errors import CapacityError, DomainError
-from .graphs import GenericGraph, bits
+# the cap's names stay importable from kneser as well as graphs
+from .graphs import DEFAULT_VERTEX_CAP, VERTEX_CAP_ENV, GenericGraph, bits, vertex_cap  # noqa: F401
 
 MAX_GROUND_SET = 64
-DEFAULT_VERTEX_CAP = 2_000_000
-VERTEX_CAP_ENV = "KNESER_VERTEX_CAP"
-
-
-def vertex_cap() -> int:
-    raw = os.environ.get(VERTEX_CAP_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"{VERTEX_CAP_ENV}={raw!r} is not an integer") from exc
-    if cap <= 0:
-        raise CapacityError(f"{VERTEX_CAP_ENV} must be positive")
-    return cap
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,12 @@ largest number of free vertices whose smallest weights 2r - d, added to
 the chosen vertices' weights, stay within 2e(R).  No regularity is
 assumed, so the bound holds on any graph.
 
-``solve_kneser`` adds what is only sound for Kneser graphs: the canonical
-first vertex may be forced into the solution (vertex-transitivity), the
-incumbent is seeded with the best known construction, and the root is
-capped by the bound report's interval.
+``solve`` and ``solve_kneser`` share one search path.  ``solve_kneser``
+adds what is only sound for Kneser graphs: the search starts from the
+root's include child, because K(n, k) is vertex-transitive and so some
+maximum solution contains whichever vertex the branching rule picks (on
+K(n, k) the vertex {1,...,k}); the incumbent is seeded with the best known
+construction; and the search stops at the bound report's upper end.
 """
 
 from __future__ import annotations
@@ -89,15 +91,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # d = 1 engine (bitmask state: free, unsat, seen, chosen, count)
 # ---------------------------------------------------------------------------
-
-
-def _deg1_root(adj, order, fixed: int | None):
-    full = (1 << order) - 1
-    if fixed is None:
-        return (full, 0, 0, 0, 0)
-    vbit = 1 << fixed
-    free = full & ~vbit
-    return (free, vbit, adj[fixed] & free, vbit, 1)
 
 
 def _branch_vertex(adj, free):
@@ -169,22 +162,6 @@ def _deg1_closure(adj, state):
 # ---------------------------------------------------------------------------
 # general-d engine (free, caps tuple, chosen, count)
 # ---------------------------------------------------------------------------
-
-
-def _degd_root(adj, order, d, fixed: int | None):
-    full = (1 << order) - 1
-    caps = [d] * order
-    if fixed is None:
-        return (full, tuple(caps), 0, 0)
-    free = full & ~(1 << fixed)
-    nfree = free
-    for u in bits(adj[fixed] & free):
-        caps[u] -= 1
-        if caps[u] < 0:
-            nfree &= ~(1 << u)
-    if caps[fixed] == 0:
-        nfree &= ~adj[fixed]
-    return (nfree, tuple(caps), 1 << fixed, 1)
 
 
 def _degd_children(adj, d, state, incumbent):
@@ -266,36 +243,28 @@ def _degd_closure(state):
 # ---------------------------------------------------------------------------
 
 
-class _Outcome:
-    __slots__ = ("found", "witness", "nodes", "completed")
-
-    def __init__(self, found, witness, nodes, completed):
-        self.found = found
-        self.witness = witness
-        self.nodes = nodes
-        self.completed = completed
-
-
 def _engine(adj, d):
-    """(children, closure) for d.
+    """(root, children, closure) for d.
 
-    ``children(state, incumbent)`` returns [] when the node's bound is at
-    most ``incumbent``, None at the endgame, and the include-first children
-    otherwise; ``closure(state)`` gives the endgame's exact (size, witness).
+    ``root`` leaves every vertex undecided.  ``children(state, incumbent)``
+    returns [] when the node's bound is at most ``incumbent``, None at the
+    endgame, and the include-first children otherwise; ``closure(state)``
+    gives the endgame's exact (size, witness).
     """
+    full = (1 << len(adj)) - 1
     if d == 1:
-        return partial(_deg1_children, adj), partial(_deg1_closure, adj)
-    return partial(_degd_children, adj, d), _degd_closure
+        return (full, 0, 0, 0, 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
+    return (full, (d,) * len(adj), 0, 0), partial(_degd_children, adj, d), _degd_closure
 
 
 def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
-    """Depth-first search from ``root``; returns an _Outcome.
+    """Depth-first search from ``root``; (found, witness, nodes, completed).
 
     ``prune_seed`` primes the pruning threshold only.  ``found`` reports the
     best size this search actually constructed a witness for, -1 if none,
     so callers never mistake a borrowed incumbent for a solution.
     """
-    children_of, closure_of = _engine(adj, d)
+    _, children_of, closure_of = _engine(adj, d)
     incumbent = prune_seed
     found = -1
     witness = 0
@@ -330,7 +299,7 @@ def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
         # children are include-first; the stack flips them, so push reversed
         for ch in reversed(kids):
             stack.append(ch)
-    return _Outcome(found, witness, nodes, not out_of_budget)
+    return found, witness, nodes, not out_of_budget
 
 
 def _expand_frontier(children_of, root, want):
@@ -361,65 +330,66 @@ def _pool_init(shared, adj, d, max_nodes, deadline, stop_at):
 
 def _pool_task(state):
     w = _WORKER
-    out = _run_search(
+    return _run_search(
         w["adj"], w["d"], state, w["shared"].value,
         w["max_nodes"], w["deadline"], w["shared"], w["stop_at"],
     )
-    return out.found, out.witness, out.nodes, out.completed
 
 
-def _deadline_of(budget: SearchBudget, started: float):
-    if budget.max_time is None:
-        return None
-    return started + budget.max_time
+def _solve(g, d, budget, seed, seed_witness, transitive, stop_at=None, bound_source=None):
+    """The one search path behind solve and solve_kneser.
 
-
-def _solve_root(g, d, budget, root, seed, seed_witness, stop_at, bound_source):
-    started = time.monotonic()
-    deadline = _deadline_of(budget, started)
+    ``seed`` None takes the greedy set.  The seed primes pruning but must
+    also survive as a witness, so it enters as found/witness rather than a
+    bare threshold.  ``transitive`` starts from the root's include child:
+    on a vertex-transitive graph some maximum solution holds any given
+    vertex, so the root's exclude branch is redundant.
+    """
+    if d < 0:
+        raise DomainError("d must be nonnegative")
+    budget = budget or UNLIMITED
     adj = g.adj
+    if seed is None:
+        seed, seed_witness = _greedy_seed(adj, g.order, d)
+    started = time.monotonic()
+    deadline = None if budget.max_time is None else started + budget.max_time
 
-    if stop_at is not None and seed >= stop_at:
-        # the bound interval already pins the optimum; no search needed
-        return SolveResult(seed, seed_witness, True, 0, time.monotonic() - started,
-                           bound_source)
-
-    if budget.thread_count == 1:
-        out = _run_search(adj, d, root, seed,
-                          budget.max_nodes, deadline, None, stop_at)
-        nodes, completed = out.nodes, out.completed
-        results = [(out.found, out.witness)]
-    else:
-        children_of, _ = _engine(adj, d)
-        tasks, expansions = _expand_frontier(children_of, root,
-                                             budget.thread_count * 8)
-        per_task_nodes = None
-        if budget.max_nodes is not None:
-            per_task_nodes = max(1, budget.max_nodes // max(1, len(tasks)))
-        ctx = mp.get_context("fork")
-        shared = ctx.Value("q", seed)
-        with ctx.Pool(
-            budget.thread_count,
-            initializer=_pool_init,
-            initargs=(shared, adj, d, per_task_nodes, deadline, stop_at),
-        ) as pool:
-            outs = pool.map(_pool_task, tasks, chunksize=1)
-        nodes = expansions + sum(o[2] for o in outs)
+    found, witness, nodes, completed = seed, seed_witness, 0, True
+    # past stop_at the bound interval already pins the optimum; no search
+    if stop_at is None or seed < stop_at:
+        root, children_of, _ = _engine(adj, d)
+        kids = children_of(root, -1) if transitive else None
+        if kids:  # None when no edge is left: the root's closure is exact
+            root = kids[0]
+        if budget.thread_count == 1:
+            outs = [_run_search(adj, d, root, seed, budget.max_nodes, deadline, None, stop_at)]
+        else:
+            tasks, nodes = _expand_frontier(children_of, root, budget.thread_count * 8)
+            per_task_nodes = None
+            if budget.max_nodes is not None:
+                per_task_nodes = max(1, budget.max_nodes // max(1, len(tasks)))
+            ctx = mp.get_context("fork")
+            shared = ctx.Value("q", seed)
+            with ctx.Pool(
+                budget.thread_count,
+                initializer=_pool_init,
+                initargs=(shared, adj, d, per_task_nodes, deadline, stop_at),
+            ) as pool:
+                outs = pool.map(_pool_task, tasks, chunksize=1)
+        nodes += sum(o[2] for o in outs)
         completed = all(o[3] for o in outs)
-        results = [(o[0], o[1]) for o in outs]
+        for f, w, _, _ in outs:
+            if f > found:
+                found, witness = f, w
 
-    found, witness = seed, seed_witness
-    for f, w in results:
-        if f > found:
-            found, witness = f, w
-
-    optimal = completed
-    source = None
+    optimal, source = completed, None
     if stop_at is not None and found >= stop_at:
-        optimal = True
-        source = bound_source
-    return SolveResult(found, witness, optimal, nodes,
-                       time.monotonic() - started, source)
+        optimal, source = True, bound_source
+    result = SolveResult(found, witness, optimal, nodes,
+                         time.monotonic() - started, source)
+    if not check_max_degree(g, witness, d):
+        raise AssertionError("solver produced an invalid witness")
+    return result
 
 
 def _greedy_seed(adj, order, d):
@@ -444,20 +414,7 @@ def _greedy_seed(adj, order, d):
 
 def solve(g: GenericGraph, d: int, budget: SearchBudget | None = None) -> SolveResult:
     """Largest vertex set of g inducing maximum degree <= d, exactly."""
-    if d < 0:
-        raise DomainError("d must be nonnegative")
-    budget = budget or UNLIMITED
-    if g.order == 0:
-        return SolveResult(0, 0, True, 0, 0.0)
-    seed, seed_witness = _greedy_seed(g.adj, g.order, d)
-    root = _deg1_root(g.adj, g.order, None) if d == 1 else _degd_root(
-        g.adj, g.order, d, None)
-    # the greedy seed primes pruning but must also survive as a witness,
-    # so it enters as found/witness rather than a bare threshold
-    result = _solve_root(g, d, budget, root, seed, seed_witness, None, None)
-    if not check_max_degree(g, result.witness, d):
-        raise AssertionError("solver produced an invalid witness")
-    return result
+    return _solve(g, d, budget, None, 0, False)
 
 
 def heuristic_lower(n: int, k: int) -> Certificate:
@@ -482,19 +439,15 @@ def solve_kneser(
 ) -> SolveResult:
     """solve() on K(n, k) with the symmetry and bound tricks that are sound here.
 
-    Vertex-transitivity lets the search assume the vertex {1,...,k} is in
-    some maximum solution; for d=1 the incumbent starts at the best known
-    construction and the search stops once it meets the bound interval's
-    upper end.  For d=0 the center meets the Erdos-Ko-Rado bound, so no
-    search runs.
+    Vertex-transitivity lets the search start from the root's include
+    child; for d=1 the incumbent starts at the best known construction and
+    the search stops once it meets the bound interval's upper end.  For d=0
+    the center meets the Erdos-Ko-Rado bound, so no search runs.
     """
-    if d < 0:
+    if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
-    budget = budget or UNLIMITED
     g = build_kneser(n, k)
-
-    stop_at = None
-    bound_source = None
+    seed, seed_witness, stop_at, bound_source = None, 0, None, None
     if d == 1 and k >= 2:
         rep = bounds.report(n, k)
         stop_at = rep.best_upper
@@ -510,19 +463,15 @@ def solve_kneser(
         bound_source = "independence_number"
         seed_witness = g.center_mask(1)
         seed = seed_witness.bit_count()
-    else:
-        seed, seed_witness = _greedy_seed(g.adj, g.order, d)
-
-    root = _deg1_root(g.adj, g.order, 0) if d == 1 else _degd_root(
-        g.adj, g.order, d, 0)
-    result = _solve_root(g, d, budget, root, seed, seed_witness, stop_at, bound_source)
-    if not check_max_degree(g, result.witness, d):
-        raise AssertionError("solver produced an invalid witness")
-    return result
+    return _solve(g, d, budget, seed, seed_witness, True, stop_at, bound_source)
 
 
 def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
-    """Oracle: exhaustive enumeration with early degree-violation pruning."""
+    """Oracle: exhaustive enumeration with early degree-violation pruning.
+
+    A branch is cut only when taking every undecided vertex could not beat
+    the best set found, so the oracle shares no bound with the engines.
+    """
     if g.order > cap:
         raise CapacityError(f"brute force capped at {cap} vertices")
     if d < 0:
@@ -534,9 +483,10 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
 
     def rec(i: int, chosen: int, size: int):
         nonlocal best
+        if size + order - i <= best:
+            return
         if i == order:
-            if size > best:
-                best = size
+            best = size
             return
         # include i when neither i nor any chosen vertex would exceed d
         nb = adj[i] & chosen

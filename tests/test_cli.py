@@ -187,6 +187,16 @@ def test_verify_non_integer_dimacs_exit_2(petersen_files, capsys, tmp_path):
         assert f"line {lineno}" in err and "Traceback" not in err
 
 
+def test_verify_dimacs_past_vertex_cap_exit_2(petersen_files, capsys, tmp_path, monkeypatch):
+    _, cert = petersen_files
+    graph = tmp_path / "big.dimacs"
+    graph.write_text("p edge 11 0\n")
+    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
+    code, _, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2
+    assert "vertex cap" in err and "Traceback" not in err
+
+
 def test_verify_missing_file_exit_2(petersen_files, capsys):
     graph, _ = petersen_files
     code, _, _ = run(capsys, "verify", str(graph), "/nonexistent/cert.json")

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import kneserdiss
+import kneserdiss.graphs as graphs_module
 import kneserdiss.kneser as kneser_module
 from kneserdiss import (
     CapacityError,
@@ -243,6 +244,22 @@ def test_dimacs_rejects_garbage():
         read_dimacs("e 1 2\n")
     with pytest.raises(DomainError):
         read_dimacs("p edge 2 5\ne 1 2\n")
+
+
+def test_dimacs_vertex_cap(monkeypatch):
+    def no_allocation(order, edges):
+        raise AssertionError(f"allocated {order} rows past the cap")
+
+    # the header alone must be refused, before any row is allocated
+    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
+    with pytest.raises(CapacityError):
+        read_dimacs("p edge 1000000000 0\n")
+    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
+    with pytest.raises(CapacityError):
+        read_dimacs("p edge 11 0\n")
+    monkeypatch.undo()
+    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
+    assert read_dimacs("p edge 10 0\n").order == 10
 
 
 def test_json_round_trip():

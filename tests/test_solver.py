@@ -1,7 +1,9 @@
 import random
+from itertools import combinations, islice
 
 import pytest
 
+import kneserdiss.solver as solver_module
 from kneserdiss import (
     CapacityError,
     Certificate,
@@ -74,10 +76,13 @@ def test_brute_force_cap():
 
 
 def test_oracle_equivalence_on_small_kneser_graphs():
+    # solve_kneser starts from the root's include child, solve from the root
     for n, k in small_kneser_parameters(20):
         g = build_kneser(n, k)
         for d in (0, 1, 2, 3, 4):
-            assert solve(g, d).best_size == brute_force(g, d), (n, k, d)
+            exact = brute_force(g, d)
+            assert solve(g, d).best_size == exact, (n, k, d)
+            assert solve_kneser(n, k, d).best_size == exact, (n, k, d)
 
 
 def test_oracle_equivalence_on_random_graphs_quick():
@@ -226,3 +231,27 @@ def test_kneser_wrapper_other_degrees():
         assert r0.best_size == pascal_binom(n - 1, k - 1)
         assert r0.optimal and r0.nodes_explored == 0
         assert r0.bound_source == "independence_number"
+
+
+def test_negative_d_rejected_before_any_build(monkeypatch):
+    g = build_kneser(5, 2)
+
+    def no_build(n, k, cap=None):
+        raise AssertionError("built a graph for a negative d")
+
+    monkeypatch.setattr(solver_module, "build_kneser", no_build)
+    with pytest.raises(DomainError):
+        solve_kneser(5, 2, -1)
+    with pytest.raises(DomainError):
+        solve(g, -1)
+
+
+def test_bound_pinned_seed_is_checked(monkeypatch):
+    # K(5,2) at d=1: the seed meets the bound interval, so no search runs
+    assert solve_kneser(5, 2).nodes_explored == 0
+    # the first six pairs give {1,5} two disjoint partners, {2,3} and {2,4}
+    bad = Certificate(d=1, members=tuple(islice(combinations(range(1, 6), 2), 6)),
+                      provenance="heuristic", n=5, k=2)
+    monkeypatch.setattr(solver_module, "heuristic_lower", lambda n, k: bad)
+    with pytest.raises(AssertionError, match="invalid witness"):
+        solve_kneser(5, 2)
