@@ -45,11 +45,17 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def certificate_from_json(text: str) -> Certificate:
+def _load_json(text: str, what: str):
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # deep nesting overflows the decoder's recursion
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed certificate JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DomainError(f"malformed {what} JSON: {exc}") from exc
+
+
+def certificate_from_json(text: str) -> Certificate:
+    doc = _load_json(text, "certificate")
     if not isinstance(doc, dict) or not isinstance(doc.get("set"), list):
         raise DomainError("certificate JSON must be an object with a 'set' list")
     members = []

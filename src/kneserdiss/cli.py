@@ -75,9 +75,16 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_graph(path: str):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     if text.lstrip().startswith("{"):
         return kneser_from_json(text)
     return read_dimacs(text)
@@ -85,8 +92,7 @@ def _load_graph(path: str):
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    with open(args.certificate) as fh:
-        cert = certificate_from_json(fh.read())
+    cert = certificate_from_json(_read_text(args.certificate))
     d = args.max_degree if args.max_degree is not None else cert.d
     mask = certificate_mask(g, cert)
     valid = certify.check_max_degree(g, mask, d)

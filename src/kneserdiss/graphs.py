@@ -78,15 +78,6 @@ class GenericGraph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 
-    def max_degree_in(self, s: int) -> int:
-        """Largest number of neighbours inside ``s`` over vertices of ``s``."""
-        best = 0
-        for v in bits(s):
-            d = (self.adj[v] & s).bit_count()
-            if d > best:
-                best = d
-        return best
-
 
 def graph_from_edges(order: int, edges) -> GenericGraph:
     adj = [0] * order

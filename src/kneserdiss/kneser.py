@@ -20,12 +20,13 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .certificates import Certificate
+from .certificates import Certificate, _json_int, _load_json
 from .errors import CapacityError, DomainError
-# the cap's names stay importable from kneser as well as graphs
-from .graphs import DEFAULT_VERTEX_CAP, VERTEX_CAP_ENV, GenericGraph, bits, vertex_cap  # noqa: F401
+from .graphs import GenericGraph, bits, vertex_cap
 
 MAX_GROUND_SET = 64
+# adjacency rows take V * ceil(V/8) bytes; K(22,6) needs about 0.7 GB
+MAX_ADJACENCY_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,27 @@ def sorted_elements(mask: int) -> list[int]:
     return [b + 1 for b in bits(mask)]
 
 
-def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
-    """Construct K(n, k).  Requires n >= 2k >= 2 and C(n,k) within the cap."""
+def _check_parameters(n: int, k: int) -> None:
     if k < 1 or n < 2 * k:
         raise DomainError(f"K({n},{k}) needs n >= 2k >= 2")
+    if n > MAX_GROUND_SET:
+        raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
+
+
+def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
+    """Construct K(n, k).
+
+    Requires n >= 2k >= 2, C(n,k) within the vertex cap, and adjacency rows
+    within MAX_ADJACENCY_BYTES, which is checked before anything is built.
+    """
+    _check_parameters(n, k)
+    order = comb(n, k)
+    need = order * ((order + 7) // 8)
+    if need > MAX_ADJACENCY_BYTES:
+        raise CapacityError(
+            f"K({n},{k}) needs {need} bytes of adjacency rows, "
+            f"over the {MAX_ADJACENCY_BYTES}-byte cap"
+        )
     verts = enumerate_k_subsets(n, k, cap=cap)
     centers = [0] * n
     for idx, v in enumerate(verts):
@@ -195,19 +213,16 @@ def kneser_to_json(g: KneserGraph) -> str:
 
 
 def kneser_from_json(text: str) -> KneserGraph:
+    doc = _load_json(text, "graph")
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed graph JSON: {exc}") from exc
-    try:
-        n, k = int(doc["n"]), int(doc["k"])
+        n, k = _json_int(doc["n"], "n"), _json_int(doc["k"], "k")
         listed = [tuple(v) for v in doc["vertices"]]
-        # compared before building, so a wrong list never costs an adjacency build
-        canonical = len(listed) == comb(n, k) and all(
-            v == c for v, c in zip(listed, combinations(range(1, n + 1), k))
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed graph JSON: {exc}") from exc
-    if not canonical:
+    _check_parameters(n, k)
+    # compared before building, so a wrong list never costs an adjacency build
+    if len(listed) != comb(n, k) or any(
+        v != c for v, c in zip(listed, combinations(range(1, n + 1), k))
+    ):
         raise DomainError("vertex list does not match canonical enumeration")
     return build_kneser(n, k)

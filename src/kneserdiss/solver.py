@@ -2,19 +2,20 @@
 
 ``solve(g, d)`` finds a largest vertex set whose induced subgraph has
 maximum degree at most d (d=0: independent set, d=1: dissociation set).
-Search state per vertex is undecided / excluded / included-unsaturated /
-included-saturated.  The d=1 engine works purely on bitmasks: once an
-included vertex saturates, its whole undecided neighborhood is excluded,
-and an undecided vertex adjacent to two included vertices can never be
-picked, so every undecided vertex has at most one included neighbor.  The
-counting bound and the exact endgame closure both fall out of that
-invariant.  A slower counter-based engine covers arbitrary d.
+A search state is a tuple of vertex bitsets; every size and degree is a
+popcount.  Both engines keep every undecided (free) vertex able to join:
+it has at most d chosen neighbours and none of them already has d.  The
+d=1 engine's state is (free, unsat, seen, chosen), where ``unsat`` holds
+the chosen vertices without a chosen neighbour and ``seen`` covers the
+free vertices next to one, so each free vertex has at most one chosen
+neighbour.  Its counting bound and exact endgame closure both fall out of
+that.  The general-d engine's state is (free, chosen).
 
 The general-d engine bounds each node by degree counting inside
 R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
 chosen <= S <= R, satisfies sum over S of (2r(s) - d) <= 2e(R): each s in
 S has at most d neighbours in S, so sum r(s) - d|S| <= e(S, R - S) <=
-sum over R - S of r(w).  The node's bound is count + t, where t is the
+sum over R - S of r(w).  The node's bound is |chosen| + t, where t is the
 largest number of free vertices whose smallest weights 2r - d, added to
 the chosen vertices' weights, stay within 2e(R).  No regularity is
 assumed, so the bound holds on any graph.
@@ -44,6 +45,7 @@ from .graphs import GenericGraph, bits
 from .kneser import KneserGraph, build_kneser, certificate_mask
 
 BRUTE_FORCE_CAP = 26
+MAX_THREADS = 64  # worker processes a budget may ask for
 _SYNC_INTERVAL = 2048  # nodes between time/shared-incumbent checks
 
 
@@ -54,8 +56,8 @@ class SearchBudget:
     thread_count: int = 1
 
     def __post_init__(self):
-        if self.thread_count < 1:
-            raise DomainError("thread_count must be >= 1")
+        if not 1 <= self.thread_count <= MAX_THREADS:
+            raise DomainError(f"thread_count must be in [1, {MAX_THREADS}]")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise DomainError("max_nodes must be >= 1")
         if self.max_time is not None and not self.max_time > 0:  # NaN too
@@ -89,7 +91,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 engine (bitmask state: free, unsat, seen, chosen, count)
+# d = 1 engine (free, unsat, seen, chosen)
 # ---------------------------------------------------------------------------
 
 
@@ -110,11 +112,11 @@ def _branch_vertex(adj, free):
 def _deg1_children(adj, state, incumbent):
     """Include/exclude children for the branch vertex, [] when the counting
     bound prunes, or None at the endgame."""
-    free, unsat, seen, chosen, count = state
+    free, unsat, seen, chosen = state
     # undecided vertices off ``seen`` may all join; those on it, at most
     # one per unsaturated vertex
     sc = (seen & free).bit_count()
-    if count + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
+    if chosen.bit_count() + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
         return []
     v, bd = _branch_vertex(adj, free)
     if bd <= 0:
@@ -128,39 +130,33 @@ def _deg1_children(adj, state, incumbent):
         # already touch an unsaturated vertex would reach two and go out
         nbf = adj[v] & free
         nfree = free & ~vbit & ~(nbf & seen)
-        out.append(
-            (nfree, unsat | vbit, seen | (adj[v] & nfree), chosen | vbit, count + 1)
-        )
+        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), chosen | vbit))
     elif ku.bit_count() == 1:
         # v pairs up with its unique unsaturated neighbor; both saturate
         u = ku.bit_length() - 1
         nfree = free & ~vbit & ~adj[v] & ~adj[u]
-        out.append((nfree, unsat & ~ku, seen & nfree, chosen | vbit, count + 1))
-    out.append((free & ~vbit, unsat, seen, chosen, count))
+        out.append((nfree, unsat & ~ku, seen & nfree, chosen | vbit))
+    out.append((free & ~vbit, unsat, seen, chosen))
     return out
 
 
 def _deg1_closure(adj, state):
-    """Exact optimum once no undecided-undecided edges remain."""
-    free, unsat, seen, chosen, count = state
-    take = free & ~seen
-    size = count + take.bit_count()
-    wit = chosen | take
+    """Witness of the exact optimum once no undecided-undecided edges remain."""
+    free, unsat, seen, chosen = state
+    wit = chosen | (free & ~seen)
     m = unsat
     while m:
         lsb = m & -m
         u = lsb.bit_length() - 1
         m ^= lsb
         su = adj[u] & seen & free
-        if su:
-            # one partner per unsaturated vertex; lowest index, deterministic
-            size += 1
-            wit |= su & -su
-    return size, wit
+        # one partner per unsaturated vertex; lowest index, deterministic
+        wit |= su & -su
+    return wit
 
 
 # ---------------------------------------------------------------------------
-# general-d engine (free, caps tuple, chosen, count)
+# general-d engine (free, chosen)
 # ---------------------------------------------------------------------------
 
 
@@ -173,8 +169,8 @@ def _degd_children(adj, d, state, incumbent):
     the module docstring needs: the weights 2r(v) - d of the free vertices
     and the slack 2e(R) minus the chosen vertices' weights.
     """
-    free, caps, chosen, count = state
-    need = incumbent - count + 1  # free vertices a better completion must add
+    free, chosen = state
+    need = incumbent - chosen.bit_count() + 1  # free vertices a better completion must add
     if free.bit_count() < need:
         return []
     if not free:
@@ -207,35 +203,25 @@ def _degd_children(adj, d, state, incumbent):
         if sum(weights[:need]) > slack:
             return []
 
+    # every free vertex can join, v included; including v keeps that true
+    # once free vertices that would break a degree go out
     vbit = 1 << v
-    out = []
-    feasible = caps[v] >= 0
-    if feasible:
-        for u in bits(adj[v] & chosen):
-            if caps[u] < 1:
-                feasible = False
-                break
-    if feasible:
-        ncaps = list(caps)
-        nfree = free & ~vbit
-        for u in bits(adj[v] & (chosen | nfree)):
-            ncaps[u] -= 1
-            if ncaps[u] < 0 and nfree >> u & 1:
-                nfree &= ~(1 << u)
-        # saturated inclusions forbid their whole undecided neighborhood
-        if ncaps[v] == 0:
-            nfree &= ~adj[v]
-        for u in bits(adj[v] & chosen):
-            if ncaps[u] == 0:
-                nfree &= ~adj[u]
-        out.append((nfree, tuple(ncaps), chosen | vbit, count + 1))
-    out.append((free & ~vbit, caps, chosen, count))
-    return out
+    nchosen = chosen | vbit
+    nfree = free & ~vbit
+    a = adj[v]
+    for u in bits(a & nfree):
+        if (adj[u] & nchosen).bit_count() > d:
+            nfree &= ~(1 << u)
+    # saturated chosen vertices forbid their whole undecided neighbourhood
+    for u in bits((a & chosen) | vbit):
+        if (adj[u] & nchosen).bit_count() == d:
+            nfree &= ~adj[u]
+    return [(nfree, nchosen), (free & ~vbit, chosen)]
 
 
 def _degd_closure(state):
     """Nothing is undecided: the chosen set is the whole completion."""
-    return state[3], state[2]
+    return state[1]
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +235,12 @@ def _engine(adj, d):
     ``root`` leaves every vertex undecided.  ``children(state, incumbent)``
     returns [] when the node's bound is at most ``incumbent``, None at the
     endgame, and the include-first children otherwise; ``closure(state)``
-    gives the endgame's exact (size, witness).
+    gives the witness of the endgame's exact optimum.
     """
     full = (1 << len(adj)) - 1
     if d == 1:
-        return (full, 0, 0, 0, 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
-    return (full, (d,) * len(adj), 0, 0), partial(_degd_children, adj, d), _degd_closure
+        return (full, 0, 0, 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
+    return (full, 0), partial(_degd_children, adj, d), _degd_closure
 
 
 def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
@@ -287,7 +273,8 @@ def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
             break
         kids = children_of(state, incumbent)
         if kids is None:
-            size, wit = closure_of(state)
+            wit = closure_of(state)
+            size = wit.bit_count()
             if size > incumbent:
                 incumbent = found = size
                 witness = wit
@@ -336,21 +323,22 @@ def _pool_task(state):
     )
 
 
-def _solve(g, d, budget, seed, seed_witness, transitive, stop_at=None, bound_source=None):
+def _solve(g, d, budget, seed_witness, transitive, stop_at=None, bound_source=None):
     """The one search path behind solve and solve_kneser.
 
-    ``seed`` None takes the greedy set.  The seed primes pruning but must
-    also survive as a witness, so it enters as found/witness rather than a
-    bare threshold.  ``transitive`` starts from the root's include child:
-    on a vertex-transitive graph some maximum solution holds any given
-    vertex, so the root's exclude branch is redundant.
+    ``seed_witness`` None takes the greedy set.  The seed primes pruning but
+    must also survive as a witness, so it enters as found/witness rather
+    than a bare threshold.  ``transitive`` starts from the root's include
+    child: on a vertex-transitive graph some maximum solution holds any
+    given vertex, so the root's exclude branch is redundant.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
     budget = budget or UNLIMITED
     adj = g.adj
-    if seed is None:
-        seed, seed_witness = _greedy_seed(adj, g.order, d)
+    if seed_witness is None:
+        seed_witness = _greedy_seed(adj, d)
+    seed = seed_witness.bit_count()
     started = time.monotonic()
     deadline = None if budget.max_time is None else started + budget.max_time
 
@@ -392,29 +380,22 @@ def _solve(g, d, budget, seed, seed_witness, transitive, stop_at=None, bound_sou
     return result
 
 
-def _greedy_seed(adj, order, d):
-    """Deterministic greedy degree-bounded set: a valid starting incumbent."""
-    caps = [d] * order
+def _greedy_seed(adj, d):
+    """Deterministic greedy degree-bounded set: a valid starting incumbent.
+
+    v joins when it has at most d chosen neighbours and none of them has d.
+    """
     chosen = 0
-    for v in range(order):
-        if caps[v] < 0:
-            continue
-        ok = True
-        for u in bits(adj[v] & chosen):
-            if caps[u] < 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        chosen |= 1 << v
-        for u in bits(adj[v]):
-            caps[u] -= 1
-    return chosen.bit_count(), chosen
+    for v, a in enumerate(adj):
+        nb = a & chosen
+        if nb.bit_count() <= d and all((adj[u] & chosen).bit_count() < d for u in bits(nb)):
+            chosen |= 1 << v
+    return chosen
 
 
 def solve(g: GenericGraph, d: int, budget: SearchBudget | None = None) -> SolveResult:
     """Largest vertex set of g inducing maximum degree <= d, exactly."""
-    return _solve(g, d, budget, None, 0, False)
+    return _solve(g, d, budget, None, False)
 
 
 def heuristic_lower(n: int, k: int) -> Certificate:
@@ -447,23 +428,20 @@ def solve_kneser(
     if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
     g = build_kneser(n, k)
-    seed, seed_witness, stop_at, bound_source = None, 0, None, None
+    seed_witness, stop_at, bound_source = None, None, None
     if d == 1 and k >= 2:
         rep = bounds.report(n, k)
         stop_at = rep.best_upper
         bound_source = next(
             b.name for b in rep.upper_bounds if b.value == rep.best_upper
         )
-        cert = heuristic_lower(n, k)
-        seed_witness = certificate_mask(g, cert)
-        seed = len(cert)
+        seed_witness = certificate_mask(g, heuristic_lower(n, k))
     elif d == 0:
         # Erdos-Ko-Rado: a center is a maximum independent set
         stop_at = bounds.alpha_kneser(n, k)
         bound_source = "independence_number"
         seed_witness = g.center_mask(1)
-        seed = seed_witness.bit_count()
-    return _solve(g, d, budget, seed, seed_witness, True, stop_at, bound_source)
+    return _solve(g, d, budget, seed_witness, True, stop_at, bound_source)
 
 
 def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:

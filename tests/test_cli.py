@@ -1,8 +1,10 @@
 import json
+from itertools import combinations
 
 import pytest
 
 import kneserdiss.cli as cli_module
+import kneserdiss.kneser as kneser_module
 import kneserdiss.solver as solver_module
 from kneserdiss import SolveResult, build_kneser, kneser_from_json
 from kneserdiss.cli import main
@@ -73,9 +75,14 @@ def test_solve_budget_exhaustion_exit_3(capsys):
     assert json.loads(out)["optimal"] is False
 
 
-def test_solve_rejects_budget_that_cannot_run(capsys):
-    for flags in (("--max-nodes", "-5"), ("--max-nodes", "0"), ("--max-time", "0s")):
-        code, out, err = run(capsys, "solve", "7", "3", *flags)
+def test_solve_rejects_budget_that_cannot_run(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("split the search for a budget that cannot run")
+
+    monkeypatch.setattr(solver_module, "_expand_frontier", no_pool)
+    for flags in (("--max-nodes", "-5"), ("--max-nodes", "0"), ("--max-time", "0s"),
+                  ("--threads", "100000")):
+        code, out, err = run(capsys, "solve", "8", "3", *flags)
         assert code == 2, flags
         assert out == "" and "error:" in err
 
@@ -174,6 +181,21 @@ def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(graph), str(bad))
         assert code == 2, text
         assert err
+    # graph JSON: n and k must be JSON integers, read as strictly as a
+    # certificate's; each vertex list is canonical for the truncated value
+    cert = tmp_path / "one.json"
+    cert.write_text('{"d": 1, "set": [1]}')
+    petersen = json.dumps([list(c) for c in combinations(range(1, 6), 2)])
+    singletons = json.dumps([[e] for e in range(1, 6)])
+    for text in (
+        '{"n": Infinity, "k": 2, "vertices": []}',
+        '{"n": 5.7, "k": 2, "vertices": %s}' % petersen,
+        '{"n": 5, "k": true, "vertices": %s}' % singletons,
+    ):
+        bad.write_text(text)
+        code, _, err = run(capsys, "verify", str(bad), str(cert))
+        assert code == 2, text
+        assert "error:" in err
 
 
 def test_verify_non_integer_dimacs_exit_2(petersen_files, capsys, tmp_path):
@@ -195,6 +217,27 @@ def test_verify_dimacs_past_vertex_cap_exit_2(petersen_files, capsys, tmp_path, 
     code, _, err = run(capsys, "verify", str(graph), str(cert))
     assert code == 2
     assert "vertex cap" in err and "Traceback" not in err
+
+
+def test_verify_non_utf8_file_exit_2(petersen_files, capsys, tmp_path):
+    graph, cert = petersen_files
+    raw = tmp_path / "raw.bin"
+    raw.write_bytes(b"\xff\xfe{")
+    for argv in ((str(raw), str(cert)), (str(graph), str(raw))):
+        code, _, err = run(capsys, "verify", *argv)
+        assert code == 2, argv
+        assert "UTF-8" in err
+
+
+def test_gen_past_adjacency_cap_exit_2(capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated vertices past the adjacency cap")
+
+    # K(30,6) passes the vertex cap but its rows would need about 44 GB
+    monkeypatch.setattr(kneser_module, "enumerate_k_subsets", no_enumeration)
+    code, out, err = run(capsys, "gen", "30", "6")
+    assert code == 2 and out == ""
+    assert "adjacency" in err
 
 
 def test_verify_missing_file_exit_2(petersen_files, capsys):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -69,6 +70,23 @@ def test_vertex_cap_env_override(monkeypatch):
         enumerate_k_subsets(4, 2)
     monkeypatch.setenv("KNESER_VERTEX_CAP", "6")
     assert len(enumerate_k_subsets(4, 2)) == 6
+
+
+def test_adjacency_byte_cap_before_enumeration(monkeypatch):
+    # K(22,6), the largest graph the acceptance tests build, fits the cap
+    order = pascal_binom(22, 6)
+    assert order * ((order + 7) // 8) <= kneser_module.MAX_ADJACENCY_BYTES
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated vertices past the adjacency cap")
+
+    monkeypatch.setattr(kneser_module, "enumerate_k_subsets", no_enumeration)
+    # K(30,6) has 593,775 vertices, under the vertex cap, and ~44 GB of rows
+    for n, k in ((30, 6), (40, 20)):
+        with pytest.raises(CapacityError, match="adjacency"):
+            build_kneser(n, k)
+        with pytest.raises(CapacityError, match="adjacency"):
+            build_kneser(n, k, cap=10**12)
 
 
 def test_build_petersen():
@@ -285,6 +303,20 @@ def test_json_rejects_noncanonical_vertices(monkeypatch):
             kneser_from_json(json.dumps(bad))
     with pytest.raises(DomainError):
         kneser_from_json("{not json")
+
+
+def test_json_reads_n_and_k_strictly():
+    petersen = [list(c) for c in combinations(range(1, 6), 2)]
+    for n, k in ((5.0, 2), (5.7, 2), ("5", 2), (5, True), (None, 2)):
+        doc = {"n": n, "k": k, "vertices": petersen}
+        with pytest.raises(DomainError):
+            kneser_from_json(json.dumps(doc))
+    for text in ('{"n": Infinity, "k": 2, "vertices": []}', "[" * 100_000,
+                 '{"n": %s, "k": 2, "vertices": []}' % ("9" * 5000)):
+        with pytest.raises(DomainError):
+            kneser_from_json(text)
+    with pytest.raises(CapacityError):
+        kneser_from_json('{"n": 65, "k": 2, "vertices": []}')
 
 
 def test_build_needs_no_numpy():

@@ -130,11 +130,15 @@ def test_budget_exhaustion_returns_incumbent():
 
 
 def test_budget_rejects_limits_that_cannot_run():
+    cap = solver_module.MAX_THREADS
     for kwargs in ({"max_nodes": 0}, {"max_nodes": -5}, {"max_time": 0},
-                   {"max_time": -1.0}, {"max_time": float("nan")}):
+                   {"max_time": -1.0}, {"max_time": float("nan")},
+                   {"thread_count": 0}, {"thread_count": cap + 1},
+                   {"thread_count": 100_000}):
         with pytest.raises(DomainError):
             SearchBudget(**kwargs)
     assert SearchBudget(max_nodes=1, max_time=0.5).max_nodes == 1
+    assert SearchBudget(thread_count=cap).thread_count == cap >= 4
 
 
 def test_time_budget_exhaustion():
@@ -255,3 +259,30 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
     monkeypatch.setattr(solver_module, "heuristic_lower", lambda n, k: bad)
     with pytest.raises(AssertionError, match="invalid witness"):
         solve_kneser(5, 2)
+
+
+def test_general_d_free_vertices_can_always_join():
+    # the include step needs no feasibility check: on every node of an
+    # unpruned search, each free vertex has at most d chosen neighbours and
+    # none of those already has d
+    rng = random.Random(17)
+    graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
+        random_graph(rng.randint(3, 10), (0.2, 0.5, 0.8)[i % 3], rng) for i in range(30)
+    ]
+    for g in graphs:
+        adj = g.adj
+        for d in (0, 2, 3):
+            root, children_of, closure_of = solver_module._engine(adj, d)
+            stack = [root]
+            while stack:
+                free, chosen = state = stack.pop()
+                assert free & chosen == 0
+                for v in bits(free):
+                    nb = adj[v] & chosen
+                    assert nb.bit_count() <= d, (g.order, d)
+                    assert all((adj[u] & chosen).bit_count() < d for u in bits(nb))
+                kids = children_of(state, -1)
+                if kids is None:
+                    assert check_max_degree(g, closure_of(state), d)
+                else:
+                    stack.extend(kids)
