@@ -15,6 +15,8 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_VERTEX_CAP = 2_000_000
 VERTEX_CAP_ENV = "KNESER_VERTEX_CAP"
+# adjacency rows take V * ceil(V/8) bytes; K(22,6) needs about 0.7 GB
+MAX_ADJACENCY_BYTES = 2 << 30
 
 
 def vertex_cap() -> int:
@@ -29,6 +31,19 @@ def vertex_cap() -> int:
     if cap <= 0:
         raise CapacityError(f"{VERTEX_CAP_ENV} must be positive")
     return cap
+
+
+def require_adjacency_fits(order: int, name: str) -> None:
+    """Refuse a graph whose adjacency rows would pass MAX_ADJACENCY_BYTES.
+
+    Called before any row is built, by every graph source alike.
+    """
+    need = order * ((order + 7) // 8)
+    if need > MAX_ADJACENCY_BYTES:
+        raise CapacityError(
+            f"{name} needs {need} bytes of adjacency rows, "
+            f"over the {MAX_ADJACENCY_BYTES}-byte cap"
+        )
 
 
 def bits(mask: int):
@@ -139,6 +154,7 @@ def read_dimacs(text: str) -> GenericGraph:
             cap = vertex_cap()
             if order > cap:
                 raise CapacityError(f"line {lineno}: {order} vertices exceed the vertex cap {cap}")
+            require_adjacency_fits(order, f"line {lineno}: a graph on {order} vertices")
         elif tok[0] == "e":
             if order is None:
                 raise DomainError(f"line {lineno}: edge before problem line")

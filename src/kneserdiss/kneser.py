@@ -22,11 +22,9 @@ from math import comb
 
 from .certificates import Certificate, _json_int, _load_json
 from .errors import CapacityError, DomainError
-from .graphs import GenericGraph, bits, vertex_cap
+from .graphs import GenericGraph, bits, require_adjacency_fits, vertex_cap
 
 MAX_GROUND_SET = 64
-# adjacency rows take V * ceil(V/8) bytes; K(22,6) needs about 0.7 GB
-MAX_ADJACENCY_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,10 @@ def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
     """Construct K(n, k).
 
     Requires n >= 2k >= 2, C(n,k) within the vertex cap, and adjacency rows
-    within MAX_ADJACENCY_BYTES, which is checked before anything is built.
+    within graphs.MAX_ADJACENCY_BYTES, which is checked before anything is built.
     """
     _check_parameters(n, k)
-    order = comb(n, k)
-    need = order * ((order + 7) // 8)
-    if need > MAX_ADJACENCY_BYTES:
-        raise CapacityError(
-            f"K({n},{k}) needs {need} bytes of adjacency rows, "
-            f"over the {MAX_ADJACENCY_BYTES}-byte cap"
-        )
+    require_adjacency_fits(comb(n, k), f"K({n},{k})")
     verts = enumerate_k_subsets(n, k, cap=cap)
     centers = [0] * n
     for idx, v in enumerate(verts):

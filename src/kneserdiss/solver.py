@@ -30,12 +30,12 @@ construction; and the search stops at the bound report's upper end.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from math import comb
 
 from . import bounds
 from .certificates import Certificate
@@ -243,40 +243,40 @@ def _engine(adj, d):
     return (full, 0), partial(_degd_children, adj, d), _degd_closure
 
 
-def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
-    """Depth-first search from ``root``; (found, witness, nodes, completed).
+def _run_search(children_of, closure_of, root, witness, max_nodes, deadline, shared, stop_at):
+    """Depth-first search from ``root``; (witness, nodes, completed).
 
-    ``prune_seed`` primes the pruning threshold only.  ``found`` reports the
-    best size this search actually constructed a witness for, -1 if none,
-    so callers never mistake a borrowed incumbent for a solution.
+    ``witness`` is the seed: its size primes pruning, and it comes back
+    unless the search builds a larger set, so the result is always a real
+    set.  The limits are numbers, math.inf when unset.  ``shared`` is the
+    pool's incumbent size, None in a serial search.
     """
-    _, children_of, closure_of = _engine(adj, d)
-    incumbent = prune_seed
-    found = -1
-    witness = 0
+    incumbent = witness.bit_count()
+    if shared is not None:
+        incumbent = max(incumbent, shared.value)
     nodes = 0
-    out_of_budget = False
+    # one test per node: past ``limit`` the budget is spent or a sync is
+    # due.  limit is an int unless a pool task's share of the budget is
+    # fractional, so math.inf adds no int-to-float comparison per node
+    limit = min(_SYNC_INTERVAL - 1, max_nodes)
     stack = [root]
     while stack:
         state = stack.pop()
         nodes += 1
-        if max_nodes is not None and nodes > max_nodes:
-            out_of_budget = True
-            break
-        if nodes % _SYNC_INTERVAL == 0:
-            if deadline is not None and time.monotonic() > deadline:
-                out_of_budget = True
-                break
+        if nodes > limit:
+            if nodes > max_nodes or time.monotonic() > deadline:
+                return witness, nodes, False
             if shared is not None and shared.value > incumbent:
                 incumbent = shared.value
-        if stop_at is not None and incumbent >= stop_at:
+            limit = min(nodes + _SYNC_INTERVAL - 1, max_nodes)
+        if incumbent >= stop_at:
             break
         kids = children_of(state, incumbent)
         if kids is None:
             wit = closure_of(state)
             size = wit.bit_count()
             if size > incumbent:
-                incumbent = found = size
+                incumbent = size
                 witness = wit
                 if shared is not None:
                     with shared.get_lock():
@@ -286,7 +286,7 @@ def _run_search(adj, d, root, prune_seed, max_nodes, deadline, shared, stop_at):
         # children are include-first; the stack flips them, so push reversed
         for ch in reversed(kids):
             stack.append(ch)
-    return found, witness, nodes, not out_of_budget
+    return witness, nodes, True
 
 
 def _expand_frontier(children_of, root, want):
@@ -305,32 +305,30 @@ def _expand_frontier(children_of, root, want):
     return tasks + frontier, expansions
 
 
-_WORKER: dict = {}
+# _run_search's arguments but the root, set in each worker by the initializer
+_POOL_ARGS: tuple = ()
 
 
-def _pool_init(shared, adj, d, max_nodes, deadline, stop_at):
-    _WORKER.update(
-        shared=shared, adj=adj, d=d, max_nodes=max_nodes,
-        deadline=deadline, stop_at=stop_at,
-    )
+def _pool_init(*args):
+    global _POOL_ARGS
+    _POOL_ARGS = args
 
 
-def _pool_task(state):
-    w = _WORKER
-    return _run_search(
-        w["adj"], w["d"], state, w["shared"].value,
-        w["max_nodes"], w["deadline"], w["shared"], w["stop_at"],
-    )
+def _pool_task(root):
+    children_of, closure_of, witness, *limits = _POOL_ARGS
+    return _run_search(children_of, closure_of, root, witness, *limits)
 
 
-def _solve(g, d, budget, seed_witness, transitive, stop_at=None, bound_source=None):
+def _solve(g, d, budget, seed_witness, transitive, stop_at=math.inf, bound_source=None):
     """The one search path behind solve and solve_kneser.
 
-    ``seed_witness`` None takes the greedy set.  The seed primes pruning but
-    must also survive as a witness, so it enters as found/witness rather
-    than a bare threshold.  ``transitive`` starts from the root's include
-    child: on a vertex-transitive graph some maximum solution holds any
-    given vertex, so the root's exclude branch is redundant.
+    ``seed_witness`` None takes the greedy set.  The seed primes pruning and
+    is the answer unless a search builds a larger set.  The engine is built
+    once and unset limits become math.inf once; the serial search and every
+    pool task get the same arguments.  ``transitive`` starts from the root's
+    include child: on a vertex-transitive graph some maximum solution holds
+    any given vertex, so the root's exclude branch is redundant.  A seed
+    that reaches ``stop_at`` is optimal by the bound, and no search runs.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
@@ -338,42 +336,39 @@ def _solve(g, d, budget, seed_witness, transitive, stop_at=None, bound_source=No
     adj = g.adj
     if seed_witness is None:
         seed_witness = _greedy_seed(adj, d)
-    seed = seed_witness.bit_count()
     started = time.monotonic()
-    deadline = None if budget.max_time is None else started + budget.max_time
+    max_nodes = math.inf if budget.max_nodes is None else budget.max_nodes
+    deadline = started + (math.inf if budget.max_time is None else budget.max_time)
 
-    found, witness, nodes, completed = seed, seed_witness, 0, True
-    # past stop_at the bound interval already pins the optimum; no search
-    if stop_at is None or seed < stop_at:
-        root, children_of, _ = _engine(adj, d)
+    witness, nodes, completed = seed_witness, 0, True
+    if seed_witness.bit_count() < stop_at:
+        root, children_of, closure_of = _engine(adj, d)
         kids = children_of(root, -1) if transitive else None
         if kids:  # None when no edge is left: the root's closure is exact
             root = kids[0]
         if budget.thread_count == 1:
-            outs = [_run_search(adj, d, root, seed, budget.max_nodes, deadline, None, stop_at)]
+            outs = [_run_search(children_of, closure_of, root, seed_witness,
+                                max_nodes, deadline, None, stop_at)]
         else:
             tasks, nodes = _expand_frontier(children_of, root, budget.thread_count * 8)
-            per_task_nodes = None
-            if budget.max_nodes is not None:
-                per_task_nodes = max(1, budget.max_nodes // max(1, len(tasks)))
             ctx = mp.get_context("fork")
-            shared = ctx.Value("q", seed)
-            with ctx.Pool(
-                budget.thread_count,
-                initializer=_pool_init,
-                initargs=(shared, adj, d, per_task_nodes, deadline, stop_at),
-            ) as pool:
+            shared = ctx.Value("q", seed_witness.bit_count())
+            # node counts are integers, so / splits the budget exactly as //
+            # would, and keeps math.inf infinite (math.inf // n is nan)
+            initargs = (children_of, closure_of, seed_witness,
+                        max(1, max_nodes / len(tasks)), deadline, shared, stop_at)
+            with ctx.Pool(budget.thread_count, initializer=_pool_init,
+                          initargs=initargs) as pool:
                 outs = pool.map(_pool_task, tasks, chunksize=1)
-        nodes += sum(o[2] for o in outs)
-        completed = all(o[3] for o in outs)
-        for f, w, _, _ in outs:
-            if f > found:
-                found, witness = f, w
+        witness = max((o[0] for o in outs), key=int.bit_count)
+        nodes += sum(o[1] for o in outs)
+        completed = all(o[2] for o in outs)
 
+    best = witness.bit_count()
     optimal, source = completed, None
-    if stop_at is not None and found >= stop_at:
+    if best >= stop_at:
         optimal, source = True, bound_source
-    result = SolveResult(found, witness, optimal, nodes,
+    result = SolveResult(best, witness, optimal, nodes,
                          time.monotonic() - started, source)
     if not check_max_degree(g, witness, d):
         raise AssertionError("solver produced an invalid witness")
@@ -406,7 +401,7 @@ def heuristic_lower(n: int, k: int) -> Certificate:
     """
     if k < 2 or n < 2 * k:
         raise DomainError(f"need n >= 2k >= 4, got n={n} k={k}")
-    if comb(n - 1, k - 1) >= comb(2 * k, k):
+    if math.comb(n - 1, k - 1) >= math.comb(2 * k, k):
         members = tuple(
             (1,) + rest for rest in combinations(range(2, n + 1), k - 1)
         )
@@ -428,7 +423,7 @@ def solve_kneser(
     if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
     g = build_kneser(n, k)
-    seed_witness, stop_at, bound_source = None, None, None
+    seed_witness, stop_at, bound_source = None, math.inf, None
     if d == 1 and k >= 2:
         rep = bounds.report(n, k)
         stop_at = rep.best_upper

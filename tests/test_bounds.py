@@ -1,6 +1,7 @@
 import pytest
 
 from kneserdiss import (
+    CapacityError,
     DomainError,
     SearchFailure,
     alpha_dominance_threshold,
@@ -72,9 +73,13 @@ def test_edge_nonneighbor_small_values():
 
 
 def test_edge_nonneighbor_sum_equals_closed_form():
-    for k in range(2, 7):
+    # the bounds use the closed form; the composition sum is the reference
+    for k in range(2, 11):
         for n in range(2 * k, 2 * k + 13):
-            assert edge_nonneighbor_count(n, k) == edge_nonneighbor_closed_form(n, k)
+            count = edge_nonneighbor_count(n, k)
+            assert count == edge_nonneighbor_closed_form(n, k), (n, k)
+            case_split = {b.name: b.value for b in report(n, k).upper_bounds}["case_split"]
+            assert case_split == max(alpha_kneser(n, k), 2 + count), (n, k)
 
 
 def test_edge_nonneighbor_matches_graph_count():
@@ -232,3 +237,17 @@ def test_closure_source_exists():
         n, k = found
         value, _ = known_exact(n, k)
         assert value == alpha_kneser(n, k)
+
+
+def test_report_size_cap():
+    # bound values must print: C(n, k) < 2**min(n, k * bits(n)) is checked
+    # against MAX_VALUE_BITS before any binomial
+    rep = report(6000, 2000)
+    assert len(str(rep.alpha)) == 1657
+    assert rep.best_lower <= rep.best_upper
+    for n, k in ((10**2200, 3), (10**30, 10**29), (14_001, 7000)):
+        for fn in (report, alpha_kneser, subgraph_lower, edge_nonneighbor_count,
+                   edge_nonneighbor_closed_form, combined_upper, known_exact):
+            with pytest.raises(CapacityError):
+                fn(n, k)
+    assert report(14_000, 7000).n == 14_000

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 import kneserdiss.cli as cli_module
+import kneserdiss.graphs as graphs_module
 import kneserdiss.kneser as kneser_module
 import kneserdiss.solver as solver_module
 from kneserdiss import SolveResult, build_kneser, kneser_from_json
@@ -114,6 +115,16 @@ def test_bound_12_5_no_exact(capsys):
     assert lo <= hi
 
 
+def test_bound_size_cap(capsys):
+    code, out, err = run(capsys, "bound", "6000", "2000")
+    assert code == 0 and err == ""
+    assert json.loads(out)["interval"][0] > 10**1650
+    for argv in (("1" + "0" * 2200, "3"), (str(10**30), str(10**29))):
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_bound_output_is_stable(capsys):
     _, first, _ = run(capsys, "bound", "8", "3")
     _, second, _ = run(capsys, "bound", "8", "3")
@@ -217,6 +228,19 @@ def test_verify_dimacs_past_vertex_cap_exit_2(petersen_files, capsys, tmp_path, 
     code, _, err = run(capsys, "verify", str(graph), str(cert))
     assert code == 2
     assert "vertex cap" in err and "Traceback" not in err
+
+
+def test_verify_dimacs_past_adjacency_cap_exit_2(petersen_files, capsys, tmp_path, monkeypatch):
+    def no_allocation(order, edges):
+        raise AssertionError(f"allocated {order} rows past the adjacency cap")
+
+    _, cert = petersen_files
+    graph = tmp_path / "wide.dimacs"
+    graph.write_text("p edge 2000000 200\n" + "".join(f"e {i} 2000000\n" for i in range(1, 201)))
+    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
+    code, _, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2
+    assert "adjacency" in err and "Traceback" not in err
 
 
 def test_verify_non_utf8_file_exit_2(petersen_files, capsys, tmp_path):

@@ -7,6 +7,8 @@ gets a node budget, at most two workers are ever drawn (larger counts are
 ones the budget refuses before forking), and reproduce always names its rows.
 """
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -200,6 +202,26 @@ def _exit_code(argv):
 @given(GEN_ARGV | SOLVE_ARGV | BOUND_ARGV | REPRODUCE_ARGV | JUNK_ARGV)
 def test_cli_exit_codes(argv):
     assert _exit_code(argv) in (0, 1, 2, 3), argv
+
+
+# bound arithmetic needs no graph, so values run far past what solve can take;
+# a few n have more than 2,000 digits
+LARGE = st.integers(-3, 100) | st.integers(0, 10**40) | st.sampled_from(
+    [10**2200, 3 * 10**2500 + 1, 2**7000, 14_000, 14_001])
+
+
+@fuzz(200)
+@given(LARGE, LARGE)
+def test_cli_bound_large_values(n, k):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = _exit_code(["bound", str(n), str(k)])
+    assert code in (0, 2), (n, k)
+    if code == 0:
+        assert json.loads(out.getvalue())["n"] == n and err.getvalue() == ""
+    else:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), (n, k)
+        assert err.getvalue().count("\n") == 1, (n, k)
 
 
 @fuzz(150)

@@ -75,7 +75,7 @@ def test_vertex_cap_env_override(monkeypatch):
 def test_adjacency_byte_cap_before_enumeration(monkeypatch):
     # K(22,6), the largest graph the acceptance tests build, fits the cap
     order = pascal_binom(22, 6)
-    assert order * ((order + 7) // 8) <= kneser_module.MAX_ADJACENCY_BYTES
+    assert order * ((order + 7) // 8) <= graphs_module.MAX_ADJACENCY_BYTES
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated vertices past the adjacency cap")
@@ -278,6 +278,26 @@ def test_dimacs_vertex_cap(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
     assert read_dimacs("p edge 10 0\n").order == 10
+
+
+def test_dimacs_adjacency_byte_cap(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def no_allocation(order, edges):
+        raise Allocated(order)
+
+    # V * ceil(V/8) bytes are checked at the header, before any row exists:
+    # 2,000,000 vertices pass the vertex cap but would need 500 GB of rows
+    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
+    edges = "".join(f"e {i} 2000000\n" for i in range(1, 201))
+    with pytest.raises(CapacityError, match="adjacency"):
+        read_dimacs("p edge 2000000 200\n" + edges)
+    with pytest.raises(CapacityError, match="adjacency"):
+        read_dimacs("p edge 131073 0\n")
+    # 131,072 vertices take exactly the cap
+    with pytest.raises(Allocated):
+        read_dimacs("p edge 131072 0\n")
 
 
 def test_json_round_trip():

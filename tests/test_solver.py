@@ -127,6 +127,17 @@ def test_budget_exhaustion_returns_incumbent():
     assert check_max_degree(g, res.witness, 1)
     cover, optimal = psi3(g, SearchBudget(max_nodes=50))
     assert not optimal
+    # the search builds nothing above the seed, so the seed itself comes
+    # back; the budget holds exactly on either side of a sync point
+    seed = certificate_mask(build_kneser(9, 4), heuristic_lower(9, 4))
+    for max_nodes in (500, 2047, 2048, 4096):
+        res = solve_kneser(9, 4, 1, SearchBudget(max_nodes=max_nodes))
+        assert not res.optimal and res.nodes_explored == max_nodes + 1
+        assert res.witness == seed and res.best_size == seed.bit_count() == 70
+    # the pool splits a node budget across its tasks
+    res = solve_kneser(9, 4, 1, SearchBudget(max_nodes=2000, thread_count=2))
+    assert not res.optimal and res.best_size >= 70
+    assert res.best_size == res.witness.bit_count()
 
 
 def test_budget_rejects_limits_that_cannot_run():
@@ -171,6 +182,7 @@ def test_thread_count_size_invariance():
             for tc in counts:
                 res = solve(g, d, SearchBudget(thread_count=tc))
                 assert res.optimal
+                assert res.best_size == res.witness.bit_count()
                 assert check_max_degree(g, res.witness, d)
                 sizes.add(res.best_size)
             assert len(sizes) == 1, (d, g.order)
