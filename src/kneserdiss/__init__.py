@@ -8,6 +8,7 @@ from .bounds import (
     alpha_kneser,
     binom,
     combined_upper,
+    edge_local_upper,
     edge_nonneighbor_closed_form,
     edge_nonneighbor_count,
     katona_upper_large_r,

@@ -21,6 +21,9 @@ _SCAN_SLACK = 64
 # str() of an int stops at 4,300 digits by default; 2**14_000 has 4,215, so
 # every reported value, at most a small multiple of C(n, k), still prints
 MAX_VALUE_BITS = 14_000
+# edge_local_upper takes O(k^2) binomials; at k = 30 and the largest n
+# MAX_VALUE_BITS admits it takes about 0.1 s, so report skips it past this k
+EDGE_LOCAL_MAX_K = 30
 
 
 def binom(n: int, k: int) -> int:
@@ -104,6 +107,52 @@ def combined_upper(n: int, k: int) -> int:
     return max(alpha_kneser(n, k), nonindependent_upper(n, k))
 
 
+def edge_local_upper(n: int, k: int) -> int:
+    """The case split with degree counting in place of |M|: max(alpha, 2 + t).
+
+    A dissociation set that is not independent holds an edge, by
+    edge-transitivity x = {1..k}, y = {k+1..2k}, plus a dissociation set S
+    of M, the vertices meeting both.  Degree counting inside M (the
+    solver's general-d bound at d = 1, taken at M's root) gives
+    sum over S of (2 deg_M(s) - 1) <= 2e(M), so |S| is at most t, the most
+    vertices of M whose smallest weights 2 deg_M - 1 fit within 2e(M).
+
+    M is counted by type (a, b, c) = (|v & x|, |v & y|, |v & rest|) with
+    a, b >= 1: C(k,a) C(k,b) C(n-2k,c) vertices, each adjacent to the
+    k-subsets of its n-k outside elements that meet both x - v and y - v,
+    which inclusion-exclusion counts.  Swapping x and y maps type (a, b, c)
+    to (b, a, c), so the two are counted together.  No graph is built, but
+    the types number O(k^2), so k is capped at EDGE_LOCAL_MAX_K.
+    """
+    _require_kneser(n, k, min_k=2)
+    if k > EDGE_LOCAL_MAX_K:
+        raise CapacityError(f"edge-local bound needs k <= {EDGE_LOCAL_MAX_K}, got k={k}")
+    r = n - 2 * k
+    whole = comb(n - k, k)
+    types = []  # (M-degree, vertex count); every argument below is >= 0
+    for a in range(1, k):
+        for b in range(a, k - a + 1):
+            c = k - a - b
+            if c <= r:
+                # C(r + a, k) subsets of v's outside miss x - v, C(r - c, k) miss both
+                deg = whole - comb(r + a, k) - comb(r + b, k) + comb(r - c, k)
+                size = comb(k, a) * comb(k, b) * comb(r, c)
+                types.append((deg, size if a == b else 2 * size))
+    slack = sum(deg * size for deg, size in types)  # 2e(M)
+    t = 0
+    # smallest weights first.  Every weight is positive: a vertex of M misses
+    # an element of x and one of y, and a k-subset of its n - k outside
+    # elements holding both is a neighbour in M
+    for deg, size in sorted(types):
+        weight = 2 * deg - 1
+        take = min(size, slack // weight)
+        t += take
+        slack -= take * weight
+        if take < size:  # no later, heavier type fits either
+            break
+    return max(alpha_kneser(n, k), 2 + t)
+
+
 def alpha_dominance_threshold(k: int) -> int:
     """Smallest n with alpha >= nonindependent_upper, by ascending scan.
 
@@ -175,12 +224,19 @@ SRC_PAIRS = "pairs_closed_form"            # k=2: max(n-1, 6)
 SRC_TRIPLES = "triples_equal_independence"  # k=3, n>=8: alpha
 SRC_MATCHING = "perfect_matching_graph"     # n=2k: whole vertex set
 SRC_ODD = "odd_graph"                       # n=2k+1: C(2k,k)
-SRC_CLOSURE = "bound_closure"               # best lower meets combined upper
+SRC_CLOSURE = "bound_closure"               # best lower meets an edge upper bound
 
 
 def known_exact(n: int, k: int) -> tuple[int, str] | None:
     """Exact diss(K(n,k)) where a theorem or bound closure settles it."""
     _require_kneser(n, k, min_k=2)
+    # edge_local never exceeds the case split, since t <= |M|
+    edge_upper = edge_local_upper(n, k) if k <= EDGE_LOCAL_MAX_K else combined_upper(n, k)
+    return _known_exact(n, k, edge_upper)
+
+
+def _known_exact(n: int, k: int, edge_upper: int) -> tuple[int, str] | None:
+    """known_exact, given the sharpest edge upper bound for (n, k)."""
     if k == 2:
         return max(n - 1, 6), SRC_PAIRS
     if k == 3 and n >= 8:
@@ -190,7 +246,7 @@ def known_exact(n: int, k: int) -> tuple[int, str] | None:
     if n == 2 * k + 1:
         return binom(2 * k, k), SRC_ODD
     lo = max(alpha_kneser(n, k), subgraph_lower(n, k))
-    if combined_upper(n, k) == lo:
+    if edge_upper == lo:
         return lo, SRC_CLOSURE
     return None
 
@@ -244,21 +300,26 @@ def report(n: int, k: int) -> BoundReport:
         BoundEntry("independence_number", alpha),
         BoundEntry("matching_subgraph", subgraph_lower(n, k)),
     ]
+    edge_upper = combined_upper(n, k)
     upper = [
         BoundEntry("twice_independence", 2 * alpha),
-        BoundEntry("case_split", combined_upper(n, k)),
+        BoundEntry("case_split", edge_upper),
     ]
     for name, fraction in (("katona_large_r", _katona_large_r_fraction),
                            ("katona_small_r", _katona_small_r_fraction)):
         frac = fraction(n, k)
         if frac is not None:
             upper.append(BoundEntry(name, floor(frac), frac))
+    if k <= EDGE_LOCAL_MAX_K:
+        edge_upper = edge_local_upper(n, k)
+        # last, so that an older bound it ties stays the one named
+        upper.append(BoundEntry("edge_local", edge_upper))
 
     # the interval is formed from the bound lists alone; known_exact rides
     # alongside so that solver pruning never quotes the value it must prove
     best_lower = max(b.value for b in lower)
     best_upper = min(b.value for b in upper)
-    exact = known_exact(n, k)
+    exact = _known_exact(n, k, edge_upper)
     if best_lower > best_upper:
         raise AssertionError(f"inconsistent bounds for ({n},{k})")
 

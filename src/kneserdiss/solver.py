@@ -20,12 +20,18 @@ largest number of free vertices whose smallest weights 2r - d, added to
 the chosen vertices' weights, stay within 2e(R).  No regularity is
 assumed, so the bound holds on any graph.
 
-``solve`` and ``solve_kneser`` share one search path.  ``solve_kneser``
-adds what is only sound for Kneser graphs: the search starts from the
-root's include child, because K(n, k) is vertex-transitive and so some
-maximum solution contains whichever vertex the branching rule picks (on
-K(n, k) the vertex {1,...,k}); the incumbent is seeded with the best known
-construction; and the search stops at the bound report's upper end.
+``solve`` and ``solve_kneser`` share one search path, which may start
+from a given state instead of the root.  ``solve_kneser`` adds what is
+only sound for Kneser graphs.  At d=1 the incumbent is seeded with the
+best known construction, which has at least alpha vertices and so is as
+large as any independent set; every better set holds an edge, and since
+K(n, k) is edge-transitive the search starts with the edge
+x = {1,...,k}, y = {k+1,...,2k} chosen: the state (M, 0, 0, x | y), M
+being the common non-neighbours of x and y, which is where the d=1 engine
+gets by including x and then y.  So diss = max(alpha, 2 + diss(K[M])).
+At d >= 2 the search starts from the include child of {1,...,k}, since
+K(n, k) is vertex-transitive.  The search stops at the bound report's
+upper end.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .certificates import Certificate
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits
-from .kneser import KneserGraph, build_kneser, certificate_mask
+from .kneser import KneserGraph, build_kneser, certificate_mask, edge_nonneighbors
 
 BRUTE_FORCE_CAP = 26
 MAX_THREADS = 64  # worker processes a budget may ask for
@@ -319,16 +325,15 @@ def _pool_task(root):
     return _run_search(children_of, closure_of, root, witness, *limits)
 
 
-def _solve(g, d, budget, seed_witness, transitive, stop_at=math.inf, bound_source=None):
+def _solve(g, d, budget, seed_witness, start=None, stop_at=math.inf, bound_source=None):
     """The one search path behind solve and solve_kneser.
 
     ``seed_witness`` None takes the greedy set.  The seed primes pruning and
     is the answer unless a search builds a larger set.  The engine is built
     once and unset limits become math.inf once; the serial search and every
-    pool task get the same arguments.  ``transitive`` starts from the root's
-    include child: on a vertex-transitive graph some maximum solution holds
-    any given vertex, so the root's exclude branch is redundant.  A seed
-    that reaches ``stop_at`` is optimal by the bound, and no search runs.
+    pool task get the same arguments.  ``start`` is the state the search
+    starts from, None for the engine's root.  A seed that reaches
+    ``stop_at`` is optimal by the bound, and no search runs.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
@@ -343,9 +348,8 @@ def _solve(g, d, budget, seed_witness, transitive, stop_at=math.inf, bound_sourc
     witness, nodes, completed = seed_witness, 0, True
     if seed_witness.bit_count() < stop_at:
         root, children_of, closure_of = _engine(adj, d)
-        kids = children_of(root, -1) if transitive else None
-        if kids:  # None when no edge is left: the root's closure is exact
-            root = kids[0]
+        if start is not None:
+            root = start
         if budget.thread_count == 1:
             outs = [_run_search(children_of, closure_of, root, seed_witness,
                                 max_nodes, deadline, None, stop_at)]
@@ -390,7 +394,7 @@ def _greedy_seed(adj, d):
 
 def solve(g: GenericGraph, d: int, budget: SearchBudget | None = None) -> SolveResult:
     """Largest vertex set of g inducing maximum degree <= d, exactly."""
-    return _solve(g, d, budget, None, False)
+    return _solve(g, d, budget, None)
 
 
 def heuristic_lower(n: int, k: int) -> Certificate:
@@ -415,28 +419,38 @@ def solve_kneser(
 ) -> SolveResult:
     """solve() on K(n, k) with the symmetry and bound tricks that are sound here.
 
-    Vertex-transitivity lets the search start from the root's include
-    child; for d=1 the incumbent starts at the best known construction and
-    the search stops once it meets the bound interval's upper end.  For d=0
-    the center meets the Erdos-Ko-Rado bound, so no search runs.
+    For d=1 the incumbent starts at the best known construction, as large
+    as any independent set, and the search looks only at sets holding the
+    edge {1..k}, {k+1..2k} (the module docstring says why that is sound),
+    stopping once it meets the bound interval's upper end.  For d >= 2 it
+    starts from the include child of {1..k}.  For d=0 the center meets the
+    Erdos-Ko-Rado bound, so no search runs.
     """
     if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
     g = build_kneser(n, k)
-    seed_witness, stop_at, bound_source = None, math.inf, None
-    if d == 1 and k >= 2:
-        rep = bounds.report(n, k)
-        stop_at = rep.best_upper
-        bound_source = next(
-            b.name for b in rep.upper_bounds if b.value == rep.best_upper
-        )
-        seed_witness = certificate_mask(g, heuristic_lower(n, k))
-    elif d == 0:
+    seed_witness, start, stop_at, bound_source = None, None, math.inf, None
+    if d == 0:
         # Erdos-Ko-Rado: a center is a maximum independent set
         stop_at = bounds.alpha_kneser(n, k)
         bound_source = "independence_number"
         seed_witness = g.center_mask(1)
-    return _solve(g, d, budget, seed_witness, True, stop_at, bound_source)
+    elif d == 1:
+        if k >= 2:
+            rep = bounds.report(n, k)
+            stop_at = rep.best_upper
+            bound_source = next(
+                b.name for b in rep.upper_bounds if b.value == rep.best_upper
+            )
+            seed_witness = certificate_mask(g, heuristic_lower(n, k))
+        # on K(n, 1), a complete graph, the greedy seed is an edge: 2 > alpha.
+        # The start is the d=1 engine's state after including x, then y:
+        # the pair is saturated and only their common non-neighbours stay free
+        y = g.vertex_index(range(k + 1, 2 * k + 1))
+        start = (edge_nonneighbors(g, 0, y), 0, 0, 1 | 1 << y)
+    else:
+        start = (g.full_mask & ~1, 1)
+    return _solve(g, d, budget, seed_witness, start, stop_at, bound_source)
 
 
 def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:

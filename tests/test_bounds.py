@@ -8,21 +8,32 @@ from kneserdiss import (
     alpha_equality_lower,
     alpha_kneser,
     binom,
+    brute_force,
     build_kneser,
     combined_upper,
+    edge_local_upper,
     edge_nonneighbor_closed_form,
     edge_nonneighbor_count,
     edge_nonneighbors,
+    induced_subgraph,
     katona_upper_large_r,
     katona_upper_small_r,
     known_exact,
     nonindependent_upper,
     report,
     sandwich,
+    solve,
     subgraph_lower,
 )
-from kneserdiss.bounds import SRC_CLOSURE, SRC_ODD, SRC_PAIRS, SRC_TRIPLES
-from support import pascal_binom
+from kneserdiss.bounds import (
+    EDGE_LOCAL_MAX_K,
+    SRC_CLOSURE,
+    SRC_ODD,
+    SRC_PAIRS,
+    SRC_TRIPLES,
+)
+from kneserdiss.solver import _degd_children
+from support import pascal_binom, small_kneser_parameters
 
 
 def test_binom_against_pascal_oracle():
@@ -171,6 +182,8 @@ def test_known_exact_rules():
     assert known_exact(9, 4) == (70, SRC_ODD)
     assert known_exact(8, 4) == (70, "perfect_matching_graph")
     assert known_exact(12, 5) is None
+    # the edge-local bound closes what the case split leaves open
+    assert known_exact(20, 4) == (969, SRC_CLOSURE)
     for n in range(4, 31):
         value, _ = known_exact(n, 2)
         assert value == max(n - 1, 6)
@@ -179,7 +192,7 @@ def test_known_exact_rules():
 def test_report_7_3():
     rep = report(7, 3)
     assert rep.best_lower == 20
-    assert rep.best_upper == 29
+    assert rep.best_upper == 20
     assert rep.known_exact == (20, SRC_ODD)
     assert rep.best_lower <= rep.known_exact[0] <= rep.best_upper
 
@@ -218,7 +231,7 @@ def test_report_json_shape():
     doc = report(9, 3).as_dict()
     assert set(doc) == {"n", "k", "alpha", "lower", "upper", "exact", "interval"}
     assert doc["exact"] == {"value": 28, "source": SRC_TRIPLES}
-    assert doc["interval"] == [28, 37]
+    assert doc["interval"] == [28, 29]
     assert all(set(e) >= {"name", "value"} for e in doc["lower"] + doc["upper"])
     assert report(12, 5).as_dict()["exact"] is None
 
@@ -239,6 +252,64 @@ def test_closure_source_exists():
         assert value == alpha_kneser(n, k)
 
 
+def _edge_local_from_graph(n, k):
+    """max(alpha, 2 + t) with t read off the built common non-neighbourhood."""
+    g = build_kneser(n, k)
+    x, y = tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))
+    m = induced_subgraph(g, edge_nonneighbors(g, x, y))
+    degrees = [row.bit_count() for row in m.adj]
+    slack, t = sum(degrees), 0
+    for weight in sorted(2 * deg - 1 for deg in degrees):
+        if weight > slack:
+            break
+        slack -= weight
+        t += 1
+    # the same t is where the solver's degree-counting bound prunes M's root
+    root = (m.full_mask, 0)
+    assert _degd_children(m.adj, 1, root, t - 1) != []
+    assert _degd_children(m.adj, 1, root, t) == []
+    return max(alpha_kneser(n, k), 2 + t)
+
+
+def test_edge_local_matches_built_graph():
+    for k in range(3, 6):
+        for n in range(2 * k, 14):
+            assert edge_local_upper(n, k) == _edge_local_from_graph(n, k), (n, k)
+
+
+def test_edge_local_settles_odd_graphs():
+    # diss(K(2k+1, k)) = C(2k, k), and the matching subgraph attains it
+    for k in range(3, 31):
+        assert edge_local_upper(2 * k + 1, k) == binom(2 * k, k) == subgraph_lower(2 * k + 1, k)
+        rep = report(2 * k + 1, k)
+        assert rep.best_lower == rep.best_upper == binom(2 * k, k), k
+
+
+def test_edge_local_sound_and_sharper_than_case_split():
+    for n, k in small_kneser_parameters(20):
+        if k < 2:
+            continue
+        assert brute_force(build_kneser(n, k), 1) <= edge_local_upper(n, k), (n, k)
+    for n, k in ((7, 3), (8, 3), (9, 3)):
+        assert solve(build_kneser(n, k), 1).best_size <= edge_local_upper(n, k), (n, k)
+    for k in range(2, 11):
+        for n in range(2 * k, 2 * k + 13):
+            rep = report(n, k)
+            uppers = {b.name: b.value for b in rep.upper_bounds}
+            assert uppers["edge_local"] <= uppers["case_split"], (n, k)
+            assert rep.best_lower <= rep.best_upper, (n, k)
+    assert report(10, 4).as_dict()["interval"] == [84, 102]
+
+
+def test_closed_intervals_have_exact_values():
+    for k in range(3, 8):
+        for n in range(2 * k, 12 * k):
+            rep = report(n, k)
+            if rep.best_lower == rep.best_upper:
+                assert rep.known_exact is not None, (n, k)
+                assert rep.known_exact[0] == rep.best_lower, (n, k)
+
+
 def test_report_size_cap():
     # bound values must print: C(n, k) < 2**min(n, k * bits(n)) is checked
     # against MAX_VALUE_BITS before any binomial
@@ -251,3 +322,9 @@ def test_report_size_cap():
             with pytest.raises(CapacityError):
                 fn(n, k)
     assert report(14_000, 7000).n == 14_000
+    # the edge-local bound has its own k cap; past it report leaves it out
+    k = EDGE_LOCAL_MAX_K
+    assert "edge_local" in {b.name for b in report(4 * k, k).upper_bounds}
+    assert "edge_local" not in {b.name for b in report(4 * k + 4, k + 1).upper_bounds}
+    with pytest.raises(CapacityError):
+        edge_local_upper(4 * k + 4, k + 1)

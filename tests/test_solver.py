@@ -12,6 +12,7 @@ from kneserdiss import (
     brute_force,
     build_kneser,
     check_max_degree,
+    edge_nonneighbors,
     graph_from_edges,
     heuristic_lower,
     induced_subgraph,
@@ -129,14 +130,14 @@ def test_budget_exhaustion_returns_incumbent():
     assert not optimal
     # the search builds nothing above the seed, so the seed itself comes
     # back; the budget holds exactly on either side of a sync point
-    seed = certificate_mask(build_kneser(9, 4), heuristic_lower(9, 4))
-    for max_nodes in (500, 2047, 2048, 4096):
-        res = solve_kneser(9, 4, 1, SearchBudget(max_nodes=max_nodes))
+    seed = certificate_mask(build_kneser(10, 4), heuristic_lower(10, 4))
+    for max_nodes in (500, 2047, 2048, 2049, 4096):
+        res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes))
         assert not res.optimal and res.nodes_explored == max_nodes + 1
-        assert res.witness == seed and res.best_size == seed.bit_count() == 70
+        assert res.witness == seed and res.best_size == seed.bit_count() == 84
     # the pool splits a node budget across its tasks
-    res = solve_kneser(9, 4, 1, SearchBudget(max_nodes=2000, thread_count=2))
-    assert not res.optimal and res.best_size >= 70
+    res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=2000, thread_count=2))
+    assert not res.optimal and res.best_size >= 84
     assert res.best_size == res.witness.bit_count()
 
 
@@ -271,6 +272,58 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
     monkeypatch.setattr(solver_module, "heuristic_lower", lambda n, k: bad)
     with pytest.raises(AssertionError, match="invalid witness"):
         solve_kneser(5, 2)
+
+
+def test_edge_start_is_the_engine_path(monkeypatch):
+    # solve_kneser's d=1 start is where the engine gets by including x and
+    # then y; its d >= 2 start is the root's include child
+    starts = {}
+    real_solve = solver_module._solve
+
+    def recording(g, d, budget, seed_witness, start=None, *rest):
+        starts[d] = start
+        return real_solve(g, d, budget, seed_witness, start, *rest)
+
+    monkeypatch.setattr(solver_module, "_solve", recording)
+    for n, k in ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4)):
+        for d in (1, 2, 3):
+            solve_kneser(n, k, d, SearchBudget(max_nodes=1))
+        g = build_kneser(n, k)
+        y = g.vertex_index(range(k + 1, 2 * k + 1))
+        script = iter((0, y))
+
+        def scripted(adj, free):
+            v = next(script)
+            return v, (adj[v] & free).bit_count()
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solver_module, "_branch_vertex", scripted)
+            root, children_of, _ = solver_module._engine(g.adj, 1)
+            state = children_of(children_of(root, -1)[0], -1)[0]
+        assert starts[1] == state == (edge_nonneighbors(g, 0, y), 0, 0, 1 | 1 << y), (n, k)
+        for d in (2, 3):
+            root, children_of, _ = solver_module._engine(g.adj, d)
+            assert starts[d] == children_of(root, -1)[0] == (g.full_mask & ~1, 1), (n, k, d)
+
+
+def test_edge_start_matches_plain_solve():
+    # plain solve searches from the root with a greedy seed: an independent
+    # check on the edge start and on the alpha-sized seed it relies on
+    for n, k in ((7, 3), (8, 3), (9, 3)):
+        g = build_kneser(n, k)
+        exact = solve(g, 1).best_size
+        for threads in (1, 2):
+            res = solve_kneser(n, k, 1, SearchBudget(thread_count=threads))
+            assert res.optimal and res.best_size == exact, (n, k, threads)
+            assert check_max_degree(g, res.witness, 1)
+    for n in (2, 3, 5):
+        res = solve_kneser(n, 1, 1)
+        assert res.optimal and res.best_size == 2 == brute_force(build_kneser(n, 1), 1)
+    # the edge-local bound closes the odd graphs with no search
+    for n, k in ((7, 3), (9, 4)):
+        res = solve_kneser(n, k, 1)
+        assert res.optimal and res.best_size == pascal_binom(2 * k, k)
+        assert res.nodes_explored == 0 and res.bound_source == "edge_local"
 
 
 def test_general_d_free_vertices_can_always_join():
