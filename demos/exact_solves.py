@@ -51,3 +51,13 @@ print("=== generalized degree bounds on the Petersen graph ===")
 for d in (0, 1, 2, 3):
     res = solve(g, d)
     print(f"max |S| with induced degree <= {d}:  {res.best_size}")
+
+print()
+print("=== generalized degree bounds on K(7,3), searched from a fixed edge ===")
+g = build_kneser(7, 3)
+for d in (2, 3):
+    start = time.monotonic()
+    res = solve_kneser(7, 3, d)
+    assert check_max_degree(g, res.witness, d)
+    print(f"max |S| with induced degree <= {d}:  {res.best_size}  optimal={res.optimal}  "
+          f"nodes={res.nodes_explored}  {time.monotonic() - start:.2f}s")

@@ -22,16 +22,21 @@ assumed, so the bound holds on any graph.
 
 ``solve`` and ``solve_kneser`` share one search path, which may start
 from a given state instead of the root.  ``solve_kneser`` adds what is
-only sound for Kneser graphs.  At d=1 the incumbent is seeded with the
-best known construction, which has at least alpha vertices and so is as
-large as any independent set; every better set holds an edge, and since
-K(n, k) is edge-transitive the search starts with the edge
-x = {1,...,k}, y = {k+1,...,2k} chosen: the state (M, 0, 0, x | y), M
-being the common non-neighbours of x and y, which is where the d=1 engine
-gets by including x and then y.  So diss = max(alpha, 2 + diss(K[M])).
-At d >= 2 the search starts from the include child of {1,...,k}, since
-K(n, k) is vertex-transitive.  The search stops at the bound report's
-upper end.
+only sound for Kneser graphs.  At every d >= 1 the search starts with the
+edge x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is seeded with
+a set of at least alpha vertices, so it is as large as any independent
+set; every better set holds an edge, and since K(n, k) is
+edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
+largest set holding xy).  At d=1 the seed is the best known construction
+and the start is (M, 0, 0, x | y), M being the common non-neighbours of x
+and y: where the d=1 engine gets by including x and then y, so
+diss = max(alpha, 2 + diss(K[M])), and the search stops at the bound
+report's upper end.  At d >= 2 the seed is the larger of a center (alpha
+vertices, Erdos-Ko-Rado) and the greedy set, and the start is
+(V - {x, y}, {x, y}): x and y have one chosen neighbour each, fewer than
+d, and every other vertex at most two, so no vertex leaves the free set;
+that is where the general-d engine gets by including x and then y.  At
+d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
 """
 
 from __future__ import annotations
@@ -209,8 +214,15 @@ def _degd_children(adj, d, state, incumbent):
         if sum(weights[:need]) > slack:
             return []
 
-    # every free vertex can join, v included; including v keeps that true
-    # once free vertices that would break a degree go out
+    return [_degd_include(adj, d, free, chosen, v), (free & ~(1 << v), chosen)]
+
+
+def _degd_include(adj, d, free, chosen, v):
+    """The state with free vertex v chosen.
+
+    Every free vertex can join, v included; including v keeps that true
+    once free vertices that would break a degree go out.
+    """
     vbit = 1 << v
     nchosen = chosen | vbit
     nfree = free & ~vbit
@@ -222,7 +234,7 @@ def _degd_children(adj, d, state, incumbent):
     for u in bits((a & chosen) | vbit):
         if (adj[u] & nchosen).bit_count() == d:
             nfree &= ~adj[u]
-    return [(nfree, nchosen), (free & ~vbit, chosen)]
+    return nfree, nchosen
 
 
 def _degd_closure(state):
@@ -419,23 +431,25 @@ def solve_kneser(
 ) -> SolveResult:
     """solve() on K(n, k) with the symmetry and bound tricks that are sound here.
 
-    For d=1 the incumbent starts at the best known construction, as large
-    as any independent set, and the search looks only at sets holding the
-    edge {1..k}, {k+1..2k} (the module docstring says why that is sound),
-    stopping once it meets the bound interval's upper end.  For d >= 2 it
-    starts from the include child of {1..k}.  For d=0 the center meets the
-    Erdos-Ko-Rado bound, so no search runs.
+    At every d >= 1 the search starts with the edge {1..k}, {k+1..2k}
+    chosen, from a seed as large as any independent set (the module
+    docstring says why that is sound).  The d=1 seed is the best known
+    construction, and the search stops once it meets the bound interval's
+    upper end.  The d >= 2 seed is the larger of a center and the greedy
+    set.  For d=0 the center meets the Erdos-Ko-Rado bound, so no search
+    runs.
     """
     if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
     g = build_kneser(n, k)
-    seed_witness, start, stop_at, bound_source = None, None, math.inf, None
     if d == 0:
         # Erdos-Ko-Rado: a center is a maximum independent set
-        stop_at = bounds.alpha_kneser(n, k)
-        bound_source = "independence_number"
-        seed_witness = g.center_mask(1)
-    elif d == 1:
+        return _solve(g, d, budget, g.center_mask(1), None,
+                      bounds.alpha_kneser(n, k), "independence_number")
+    y = g.vertex_index(range(k + 1, 2 * k + 1))
+    edge = 1 | 1 << y
+    seed_witness, stop_at, bound_source = None, math.inf, None
+    if d == 1:
         if k >= 2:
             rep = bounds.report(n, k)
             stop_at = rep.best_upper
@@ -446,10 +460,15 @@ def solve_kneser(
         # on K(n, 1), a complete graph, the greedy seed is an edge: 2 > alpha.
         # The start is the d=1 engine's state after including x, then y:
         # the pair is saturated and only their common non-neighbours stay free
-        y = g.vertex_index(range(k + 1, 2 * k + 1))
-        start = (edge_nonneighbors(g, 0, y), 0, 0, 1 | 1 << y)
+        start = (edge_nonneighbors(g, 0, y), 0, 0, edge)
     else:
-        start = (g.full_mask & ~1, 1)
+        # the seed needs alpha vertices, which a center has whatever the
+        # vertex order; at d >= the degree the greedy set is the whole
+        # graph.  On a tie the center wins
+        seed_witness = max(g.center_mask(1), _greedy_seed(g.adj, d), key=int.bit_count)
+        # x and y have one chosen neighbour each and every other vertex at
+        # most two, so no vertex leaves the free set
+        start = (g.full_mask & ~edge, edge)
     return _solve(g, d, budget, seed_witness, start, stop_at, bound_source)
 
 

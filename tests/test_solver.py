@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, islice
 
 import pytest
@@ -77,7 +78,7 @@ def test_brute_force_cap():
 
 
 def test_oracle_equivalence_on_small_kneser_graphs():
-    # solve_kneser starts from the root's include child, solve from the root
+    # solve_kneser starts with an edge chosen at d >= 1, solve from the root
     for n, k in small_kneser_parameters(20):
         g = build_kneser(n, k)
         for d in (0, 1, 2, 3, 4):
@@ -275,8 +276,8 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
 
 
 def test_edge_start_is_the_engine_path(monkeypatch):
-    # solve_kneser's d=1 start is where the engine gets by including x and
-    # then y; its d >= 2 start is the root's include child
+    # at every d >= 1, solve_kneser's start is where the engine gets by
+    # including x and then y
     starts = {}
     real_solve = solver_module._solve
 
@@ -301,9 +302,12 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             root, children_of, _ = solver_module._engine(g.adj, 1)
             state = children_of(children_of(root, -1)[0], -1)[0]
         assert starts[1] == state == (edge_nonneighbors(g, 0, y), 0, 0, 1 | 1 << y), (n, k)
+        edge = 1 | 1 << y
         for d in (2, 3):
-            root, children_of, _ = solver_module._engine(g.adj, d)
-            assert starts[d] == children_of(root, -1)[0] == (g.full_mask & ~1, 1), (n, k, d)
+            include = partial(solver_module._degd_include, g.adj, d)
+            assert starts[d] == include(*include(g.full_mask, 0, 0), y), (n, k, d)
+            assert starts[d] == (g.full_mask & ~edge, edge), (n, k, d)
+            assert_free_vertices_can_join(g.adj, d, starts[d])
 
 
 def test_edge_start_matches_plain_solve():
@@ -316,9 +320,20 @@ def test_edge_start_matches_plain_solve():
             res = solve_kneser(n, k, 1, SearchBudget(thread_count=threads))
             assert res.optimal and res.best_size == exact, (n, k, threads)
             assert check_max_degree(g, res.witness, 1)
+    for n, k in ((7, 2), (8, 2), (9, 2), (7, 3)):
+        g = build_kneser(n, k)
+        for d in (2, 3):
+            exact = solve(g, d).best_size
+            for threads in (1, 2):
+                res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
+                assert res.optimal and res.best_size == exact, (n, k, d, threads)
+                assert check_max_degree(g, res.witness, d)
     for n in (2, 3, 5):
         res = solve_kneser(n, 1, 1)
         assert res.optimal and res.best_size == 2 == brute_force(build_kneser(n, 1), 1)
+        for d in (2, 3):
+            res = solve_kneser(n, 1, d)
+            assert res.optimal and res.best_size == brute_force(build_kneser(n, 1), d), (n, d)
     # the edge-local bound closes the odd graphs with no search
     for n, k in ((7, 3), (9, 4)):
         res = solve_kneser(n, k, 1)
@@ -326,10 +341,38 @@ def test_edge_start_matches_plain_solve():
         assert res.nodes_explored == 0 and res.bound_source == "edge_local"
 
 
+def test_general_d_seed_rule(monkeypatch):
+    # at d >= the degree the greedy seed is the whole graph, which beats the
+    # center and closes the search in at most one node
+    for n, k, d in ((6, 3, 2), (5, 2, 3), (7, 3, 4)):
+        res = solve_kneser(n, k, d)
+        assert res.witness == build_kneser(n, k).full_mask, (n, k, d)
+        assert res.optimal and res.nodes_explored <= 1, (n, k, d)
+    # one worker repeats this count
+    res = solve_kneser(7, 3, 2)
+    assert res.best_size == 22 and res.optimal and res.nodes_explored == 25_021
+    # on K(9,2) at d=2 no set holding the edge has more than 7 vertices, so
+    # the answer alpha = 8 must come from the seed: the center keeps it
+    # there when the greedy set falls short
+    monkeypatch.setattr(solver_module, "_greedy_seed", lambda adj, d: 0)
+    res = solve_kneser(9, 2, 2)
+    assert res.optimal and res.witness == build_kneser(9, 2).center_mask(1)
+
+
+def assert_free_vertices_can_join(adj, d, state):
+    # each free vertex has at most d chosen neighbours and none of those
+    # already has d
+    free, chosen = state
+    assert free & chosen == 0
+    for v in bits(free):
+        nb = adj[v] & chosen
+        assert nb.bit_count() <= d, d
+        assert all((adj[u] & chosen).bit_count() < d for u in bits(nb))
+
+
 def test_general_d_free_vertices_can_always_join():
-    # the include step needs no feasibility check: on every node of an
-    # unpruned search, each free vertex has at most d chosen neighbours and
-    # none of those already has d
+    # the include step needs no feasibility check: the invariant holds on
+    # every node of an unpruned search
     rng = random.Random(17)
     graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
         random_graph(rng.randint(3, 10), (0.2, 0.5, 0.8)[i % 3], rng) for i in range(30)
@@ -340,12 +383,8 @@ def test_general_d_free_vertices_can_always_join():
             root, children_of, closure_of = solver_module._engine(adj, d)
             stack = [root]
             while stack:
-                free, chosen = state = stack.pop()
-                assert free & chosen == 0
-                for v in bits(free):
-                    nb = adj[v] & chosen
-                    assert nb.bit_count() <= d, (g.order, d)
-                    assert all((adj[u] & chosen).bit_count() < d for u in bits(nb))
+                state = stack.pop()
+                assert_free_vertices_can_join(adj, d, state)
                 kids = children_of(state, -1)
                 if kids is None:
                     assert check_max_degree(g, closure_of(state), d)
