@@ -8,8 +8,10 @@ subset always fits a machine word.
 
 Graphs are built from the n centers: C_e is the bitset of vertices that
 contain element e, and the row of vertex v is every vertex outside the
-union of C_e over e in v.  ``certificate_mask`` is the one place that turns
-a certificate into a vertex bitset.
+union of C_e over e in v.  The centers are filled bytewise, and each
+union is formed once per shared (k-1)-prefix of lexicographic neighbours.
+``certificate_mask`` is the one place that turns a certificate into a
+vertex bitset.
 """
 
 from __future__ import annotations
@@ -56,9 +58,6 @@ class KSubset:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
-    def disjoint(self, other: "KSubset") -> bool:
-        return self.mask & other.mask == 0
-
     def __repr__(self) -> str:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
@@ -73,10 +72,7 @@ def enumerate_k_subsets(n: int, k: int, cap: int | None = None) -> list[KSubset]
     limit = cap if cap is not None else vertex_cap()
     if count > limit:
         raise CapacityError(f"C({n},{k}) = {count} exceeds the vertex cap {limit}")
-    return [
-        KSubset(mask=sum(1 << (e - 1) for e in combo), ground_n=n)
-        for combo in combinations(range(1, n + 1), k)
-    ]
+    return [KSubset(sum(c), n) for c in combinations([1 << e for e in range(n)], k)]
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,12 @@ class KneserGraph(GenericGraph):
             if not 0 <= vertex < self.order:
                 raise DomainError(f"vertex index {vertex} out of range")
             return vertex
-        if isinstance(vertex, KSubset):
-            mask = vertex.mask
-        else:
-            mask = KSubset.from_elements(vertex, self.n).mask
+        if not isinstance(vertex, KSubset):
+            vertex = KSubset.from_elements(vertex, self.n)
         try:
-            return self._index[mask]
+            return self._index[vertex.mask]
         except KeyError:
-            raise DomainError(f"{sorted_elements(mask)} is not a vertex of K({self.n},{self.k})") from None
+            raise DomainError(f"{vertex} is not a vertex of K({self.n},{self.k})") from None
 
     def center_mask(self, i: int) -> int:
         """Bitset of all vertices whose subset contains element i."""
@@ -117,10 +111,6 @@ class KneserGraph(GenericGraph):
     def vertex_set_elements(self, s: int) -> tuple[tuple[int, ...], ...]:
         """Element tuples of the vertices in bitset ``s``."""
         return tuple(self.vertices[i].elements for i in bits(s))
-
-
-def sorted_elements(mask: int) -> list[int]:
-    return [b + 1 for b in bits(mask)]
 
 
 def _check_parameters(n: int, k: int) -> None:
@@ -135,24 +125,33 @@ def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
 
     Requires n >= 2k >= 2, C(n,k) within the vertex cap, and adjacency rows
     within graphs.MAX_ADJACENCY_BYTES, which is checked before anything is built.
+    One pass over the k-subsets sets bit i in the bytearray of each element
+    of vertex i, and each bytearray is read as one center; the rows then go
+    prefix by prefix, so the center union of a (k-1)-prefix is formed once
+    and a row is the complement of it and its last element's center.
     """
     _check_parameters(n, k)
     require_adjacency_fits(comb(n, k), f"K({n},{k})")
     verts = enumerate_k_subsets(n, k, cap=cap)
-    centers = [0] * n
-    for idx, v in enumerate(verts):
-        for b in bits(v.mask):
-            centers[b] |= 1 << idx
-    full = (1 << len(verts)) - 1
-    # v lies in its own centers, so its row never holds v itself
+    order = len(verts)
+    member = [bytearray((order + 7) >> 3) for _ in range(n)]
+    for idx, combo in enumerate(combinations(member, k)):
+        byte, bit = idx >> 3, 1 << (idx & 7)
+        for b in combo:
+            b[byte] |= bit
+    centers = [int.from_bytes(b, "little") for b in member]
+    full = (1 << order) - 1
+    # rows go in vertex order: each (k-1)-prefix, then each last element
+    # after it.  v lies in its own centers, so its row never holds v itself
     adj = []
-    for v in verts:
+    for prefix in combinations(range(n - 1), k - 1):
         meets = 0
-        for b in bits(v.mask):
-            meets |= centers[b]
-        adj.append(full ^ meets)
+        for e in prefix:
+            meets |= centers[e]
+        for last in centers[prefix[-1] + 1 if prefix else 0:]:
+            adj.append(full ^ (meets | last))
     return KneserGraph(
-        order=len(verts), adj=tuple(adj), n=n, k=k, vertices=tuple(verts),
+        order=order, adj=tuple(adj), n=n, k=k, vertices=tuple(verts),
         centers=tuple(centers),
     )
 

@@ -53,7 +53,7 @@ from .certificates import Certificate
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits
-from .kneser import KneserGraph, build_kneser, certificate_mask, edge_nonneighbors
+from .kneser import KneserGraph, build_kneser
 
 BRUTE_FORCE_CAP = 26
 MAX_THREADS = 64  # worker processes a budget may ask for
@@ -426,6 +426,17 @@ def heuristic_lower(n: int, k: int) -> Certificate:
     return Certificate(d=1, members=members, provenance="heuristic", n=n, k=k)
 
 
+def _heuristic_mask(g: KneserGraph) -> int:
+    """heuristic_lower(g.n, g.k) as a vertex bitset, read off the centers."""
+    n, k = g.n, g.k
+    if math.comb(n - 1, k - 1) >= math.comb(2 * k, k):
+        return g.center_mask(1)
+    outside = 0  # vertices with an element past 2k
+    for c in g.centers[2 * k:]:
+        outside |= c
+    return g.full_mask & ~outside
+
+
 def solve_kneser(
     n: int, k: int, d: int = 1, budget: SearchBudget | None = None
 ) -> SolveResult:
@@ -446,7 +457,9 @@ def solve_kneser(
         # Erdos-Ko-Rado: a center is a maximum independent set
         return _solve(g, d, budget, g.center_mask(1), None,
                       bounds.alpha_kneser(n, k), "independence_number")
-    y = g.vertex_index(range(k + 1, 2 * k + 1))
+    # y = {k+1..2k} is preceded by the C(n-i, k-1) vertices whose least
+    # element is i, for each i <= k
+    y = sum(math.comb(n - i, k - 1) for i in range(1, k + 1))
     edge = 1 | 1 << y
     seed_witness, stop_at, bound_source = None, math.inf, None
     if d == 1:
@@ -456,11 +469,11 @@ def solve_kneser(
             bound_source = next(
                 b.name for b in rep.upper_bounds if b.value == rep.best_upper
             )
-            seed_witness = certificate_mask(g, heuristic_lower(n, k))
+            seed_witness = _heuristic_mask(g)
         # on K(n, 1), a complete graph, the greedy seed is an edge: 2 > alpha.
         # The start is the d=1 engine's state after including x, then y:
         # the pair is saturated and only their common non-neighbours stay free
-        start = (edge_nonneighbors(g, 0, y), 0, 0, edge)
+        start = (g.full_mask & ~(g.adj[0] | g.adj[y] | edge), 0, 0, edge)
     else:
         # the seed needs alpha vertices, which a center has whatever the
         # vertex order; at d >= the degree the greedy set is the whole

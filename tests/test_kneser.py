@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -81,12 +82,72 @@ def test_adjacency_byte_cap_before_enumeration(monkeypatch):
         raise AssertionError("enumerated vertices past the adjacency cap")
 
     monkeypatch.setattr(kneser_module, "enumerate_k_subsets", no_enumeration)
+    monkeypatch.setattr(kneser_module, "combinations", no_enumeration)
     # K(30,6) has 593,775 vertices, under the vertex cap, and ~44 GB of rows
     for n, k in ((30, 6), (40, 20)):
         with pytest.raises(CapacityError, match="adjacency"):
             build_kneser(n, k)
         with pytest.raises(CapacityError, match="adjacency"):
             build_kneser(n, k, cap=10**12)
+
+
+def test_build_vertex_cap_before_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated vertices past the vertex cap")
+
+    # K(10,4) has 210 vertices; every pass of the build goes through combinations
+    with monkeypatch.context() as patch:
+        patch.setattr(kneser_module, "combinations", no_enumeration)
+        with pytest.raises(CapacityError, match="vertex cap 209"):
+            build_kneser(10, 4, cap=209)
+        patch.setenv("KNESER_VERTEX_CAP", "209")
+        with pytest.raises(CapacityError, match="vertex cap 209"):
+            build_kneser(10, 4)
+        # an explicit cap overrides the environment
+        with pytest.raises(CapacityError, match="vertex cap 100"):
+            build_kneser(10, 4, cap=100)
+    assert build_kneser(10, 4, cap=210).order == 210
+    monkeypatch.setenv("KNESER_VERTEX_CAP", "210")
+    assert build_kneser(10, 4).order == 210
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 11) for k in range(1, n // 2 + 1)])
+def test_centers_match_set_oracle(n, k):
+    # the oracle's star of element e is every k-set holding e; k = 1 gives
+    # rows with an empty prefix, n = 2k the smallest case for each k
+    g = build_kneser(n, k)
+    verts, _ = set_based_kneser(n, k)
+    assert len(g.centers) == n
+    for e in range(1, n + 1):
+        star = {i for i, v in enumerate(verts) if e in v}
+        assert set(bits(g.centers[e - 1])) == star, (n, k, e)
+
+
+def build_digest(g):
+    """SHA-256 over the rows, centers and vertex masks at fixed widths."""
+    width = (g.order + 7) // 8
+    h = hashlib.sha256()
+    for row in g.adj:
+        h.update(row.to_bytes(width, "little"))
+    for c in g.centers:
+        h.update(c.to_bytes(width, "little"))
+    for v in g.vertices:
+        h.update(v.mask.to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+# recorded from the build that set one center bit per (vertex, element) and
+# ORed a vertex's k centers into its row; the build must reproduce them
+BUILD_DIGESTS = {
+    (5, 2): "96573e3daf569ac15aa4e1eef85f965ffc8c4e358dd814712ac7449dcba9d286",
+    (12, 5): "c79d9877d3575fddbdfa11c5b2765e6dad1397e3727dd547ddf19d9d65a8ab3c",
+    (17, 6): "8677ca3f632c57f3410c2e50adde39804ddbe25e07b3bc88161080d32fc27a67",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(BUILD_DIGESTS))
+def test_build_matches_recorded_digests(n, k):
+    assert build_digest(build_kneser(n, k)) == BUILD_DIGESTS[(n, k)]
 
 
 def test_build_petersen():

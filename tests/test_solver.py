@@ -9,6 +9,7 @@ from kneserdiss import (
     CapacityError,
     Certificate,
     DomainError,
+    KneserGraph,
     SearchBudget,
     brute_force,
     build_kneser,
@@ -204,6 +205,44 @@ def test_heuristic_lower():
         assert cert.provenance == "heuristic"
 
 
+def test_heuristic_mask_is_heuristic_lower():
+    # solve_kneser reads the d=1 seed off the centers; both branches of the
+    # rule (a center, or [2k] choose k) must give heuristic_lower's set
+    for k in range(2, 6):
+        for n in range(2 * k, 2 * k + 6):
+            g = build_kneser(n, k)
+            expect = certificate_mask(g, heuristic_lower(n, k))
+            assert solver_module._heuristic_mask(g) == expect, (n, k)
+
+
+# (size, optimal, nodes, witness, bound_source), one worker, from the
+# solve_kneser that looked the vertices up through KneserGraph.vertex_index
+VERTEX_FREE_CASES = {
+    (7, 3, 0): (15, True, 0, 0x7FFF, "independence_number"),
+    (7, 3, 1): (20, True, 0, 0x965B96EF, "edge_local"),
+    (7, 3, 2): (22, True, 25021, 0x182F9BE7F, None),
+    (9, 4, 0): (56, True, 0, 0xFFFFFFFFFFFFFF, "independence_number"),
+    (9, 4, 1): (70, True, 0, 0x2258965B8965B96EF12CB72DDE5BBDF, "edge_local"),
+    (9, 4, 2): (57, False, 2001, 0x2000000000000793F6C37EFFDFFFBDF, None),
+    (10, 4, 0): (84, True, 0, (1 << 84) - 1, "independence_number"),
+    (10, 4, 1): (84, False, 2001, (1 << 84) - 1, None),
+    (10, 4, 2): (84, False, 2001, (1 << 84) - 1, None),
+}
+
+
+def test_solve_kneser_needs_no_vertex_lookup(monkeypatch):
+    def no_lookup(self, vertex):
+        raise AssertionError("solve_kneser looked a vertex up")
+
+    monkeypatch.setattr(KneserGraph, "vertex_index", no_lookup)
+    for (n, k, d), expect in VERTEX_FREE_CASES.items():
+        # the open cases run out of a 2,000-node budget
+        budget = None if expect[1] else SearchBudget(max_nodes=2000)
+        res = solve_kneser(n, k, d, budget)
+        got = (res.best_size, res.optimal, res.nodes_explored, res.witness, res.bound_source)
+        assert got == expect, (n, k, d)
+
+
 def test_witness_certificate_round_trip():
     from kneserdiss import witness_certificate
 
@@ -270,7 +309,7 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
     # the first six pairs give {1,5} two disjoint partners, {2,3} and {2,4}
     bad = Certificate(d=1, members=tuple(islice(combinations(range(1, 6), 2), 6)),
                       provenance="heuristic", n=5, k=2)
-    monkeypatch.setattr(solver_module, "heuristic_lower", lambda n, k: bad)
+    monkeypatch.setattr(solver_module, "_heuristic_mask", lambda g: certificate_mask(g, bad))
     with pytest.raises(AssertionError, match="invalid witness"):
         solve_kneser(5, 2)
 
