@@ -10,15 +10,15 @@ Graphs are built from the n centers: C_e is the bitset of vertices that
 contain element e, and the row of vertex v is every vertex outside the
 union of C_e over e in v.  The centers are filled bytewise, and each
 union is formed once per shared (k-1)-prefix of lexicographic neighbours.
-``certificate_mask`` is the one place that turns a certificate into a
-vertex bitset.
+A vertex is found from its k elements the same way: the intersection of
+their k centers holds that vertex and no other.  ``certificate_mask`` is
+the one place that turns a certificate into a vertex bitset.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -42,15 +42,6 @@ class KSubset:
         if not 0 <= self.mask < (1 << self.ground_n):
             raise DomainError("mask outside the ground set")
 
-    @classmethod
-    def from_elements(cls, elements, ground_n: int) -> "KSubset":
-        mask = 0
-        for e in elements:
-            if not 1 <= e <= ground_n:
-                raise DomainError(f"element {e} outside [1, {ground_n}]")
-            mask |= 1 << (e - 1)
-        return cls(mask=mask, ground_n=ground_n)
-
     @property
     def elements(self) -> tuple[int, ...]:
         return tuple(b + 1 for b in bits(self.mask))
@@ -62,14 +53,14 @@ class KSubset:
         return "{" + ",".join(map(str, self.elements)) + "}"
 
 
-def enumerate_k_subsets(n: int, k: int, cap: int | None = None) -> list[KSubset]:
+def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
     """All k-subsets of [n] in lexicographic order of their element lists."""
     if n < 0 or k < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
     if n > MAX_GROUND_SET:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
     count = comb(n, k)
-    limit = cap if cap is not None else vertex_cap()
+    limit = vertex_cap()
     if count > limit:
         raise CapacityError(f"C({n},{k}) = {count} exceeds the vertex cap {limit}")
     return [KSubset(sum(c), n) for c in combinations([1 << e for e in range(n)], k)]
@@ -85,22 +76,24 @@ class KneserGraph(GenericGraph):
     # centers[e-1]: bitset of the vertices that contain element e
     centers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    @cached_property
-    def _index(self) -> dict[int, int]:
-        return {v.mask: i for i, v in enumerate(self.vertices)}
-
     def vertex_index(self, vertex) -> int:
-        """Index of a vertex given as an index, KSubset, or element iterable."""
+        """Index of a vertex given as an index, KSubset, or element iterable.
+
+        The vertices holding every element are the intersection of their
+        centers, which for k distinct elements is exactly the vertex.
+        """
         if isinstance(vertex, int):
             if not 0 <= vertex < self.order:
                 raise DomainError(f"vertex index {vertex} out of range")
             return vertex
-        if not isinstance(vertex, KSubset):
-            vertex = KSubset.from_elements(vertex, self.n)
-        try:
-            return self._index[vertex.mask]
-        except KeyError:
-            raise DomainError(f"{vertex} is not a vertex of K({self.n},{self.k})") from None
+        elements = vertex.elements if isinstance(vertex, KSubset) else tuple(vertex)
+        common = -1  # every bit set: every vertex, without a V-bit allocation
+        for e in elements:
+            common &= self.center_mask(e)
+        if len(elements) != self.k or common.bit_count() != 1:
+            shown = "{" + ",".join(map(str, elements)) + "}"
+            raise DomainError(f"{shown} is not a vertex of K({self.n},{self.k})")
+        return common.bit_length() - 1
 
     def center_mask(self, i: int) -> int:
         """Bitset of all vertices whose subset contains element i."""
@@ -120,7 +113,7 @@ def _check_parameters(n: int, k: int) -> None:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
 
 
-def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
+def build_kneser(n: int, k: int) -> KneserGraph:
     """Construct K(n, k).
 
     Requires n >= 2k >= 2, C(n,k) within the vertex cap, and adjacency rows
@@ -132,7 +125,7 @@ def build_kneser(n: int, k: int, cap: int | None = None) -> KneserGraph:
     """
     _check_parameters(n, k)
     require_adjacency_fits(comb(n, k), f"K({n},{k})")
-    verts = enumerate_k_subsets(n, k, cap=cap)
+    verts = enumerate_k_subsets(n, k)
     order = len(verts)
     member = [bytearray((order + 7) >> 3) for _ in range(n)]
     for idx, combo in enumerate(combinations(member, k)):

@@ -53,7 +53,7 @@ from .certificates import Certificate
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits
-from .kneser import KneserGraph, build_kneser
+from .kneser import KneserGraph, build_kneser, edge_nonneighbors
 
 BRUTE_FORCE_CAP = 26
 MAX_THREADS = 64  # worker processes a budget may ask for
@@ -457,9 +457,7 @@ def solve_kneser(
         # Erdos-Ko-Rado: a center is a maximum independent set
         return _solve(g, d, budget, g.center_mask(1), None,
                       bounds.alpha_kneser(n, k), "independence_number")
-    # y = {k+1..2k} is preceded by the C(n-i, k-1) vertices whose least
-    # element is i, for each i <= k
-    y = sum(math.comb(n - i, k - 1) for i in range(1, k + 1))
+    y = g.vertex_index(range(k + 1, 2 * k + 1))
     edge = 1 | 1 << y
     seed_witness, stop_at, bound_source = None, math.inf, None
     if d == 1:
@@ -473,7 +471,7 @@ def solve_kneser(
         # on K(n, 1), a complete graph, the greedy seed is an edge: 2 > alpha.
         # The start is the d=1 engine's state after including x, then y:
         # the pair is saturated and only their common non-neighbours stay free
-        start = (g.full_mask & ~(g.adj[0] | g.adj[y] | edge), 0, 0, edge)
+        start = (edge_nonneighbors(g, 0, y), 0, 0, edge)
     else:
         # the seed needs alpha vertices, which a center has whatever the
         # vertex order; at d >= the degree the greedy set is the whole

@@ -43,9 +43,9 @@ def test_gen_json_round_trip(capsys):
 def test_solve_petersen(capsys, monkeypatch):
     builds = []
 
-    def counting(n, k, cap=None):
+    def counting(n, k):
         builds.append((n, k))
-        return build_kneser(n, k, cap)
+        return build_kneser(n, k)
 
     monkeypatch.setattr(solver_module, "build_kneser", counting)
     monkeypatch.setattr(cli_module, "build_kneser", counting)
@@ -177,6 +177,11 @@ def test_verify_kneser_json_graph(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(graph), str(cert))
     assert code == 2
     assert "K(5,2)" in err
+    # {1,1,2} has three entries but two elements: no vertex of K(5,2)
+    cert.write_text(json.dumps({"n": 5, "k": 2, "d": 1, "set": [[1, 1, 2], [3, 4]]}))
+    code, out, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "{1,1,2}" in err and "Traceback" not in err
 
 
 def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
@@ -283,11 +288,19 @@ def test_reproduce_unknown_group(capsys):
 
 
 def test_reproduce_json_output(capsys):
-    code, out, _ = run(capsys, "reproduce", "--rows", "threshold", "--output", "json")
+    code, out, _ = run(capsys, "reproduce", "--rows", "threshold,odd,k3", "--output", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["status"] == "match" for r in rows)
-    assert {r["claimed"] for r in rows} == {7, 17}
+    assert {r["claimed"] for r in rows if r["group"] == "threshold"} == {7, 17}
+    # K(5,2) closes by the case split and K(7,3) by edge_local, with no search
+    assert {r["label"]: r["method"] for r in rows if r["group"] != "threshold"} == {
+        "diss O_2 = K(5,2)": "bound closure",
+        "diss O_3 = K(7,3)": "bound closure",
+        "diss K(8,3)": "exact solve",
+        "center lower bound K(9,3)": "bound closure",
+        "diss K(9,3)": "exact solve",
+    }
 
 
 def test_reproduce_full_default_budget(capsys):

