@@ -16,7 +16,6 @@ from .bounds import (
     known_exact,
     nonindependent_upper,
     report,
-    sandwich,
     subgraph_lower,
 )
 from .certificates import Certificate, certificate_from_json
@@ -46,7 +45,6 @@ from .kneser import (
     KneserGraph,
     KSubset,
     build_kneser,
-    center,
     edge_nonneighbors,
     enumerate_k_subsets,
     kneser_from_json,
@@ -60,7 +58,6 @@ from .solver import (
     psi3,
     solve,
     solve_kneser,
-    witness_certificate,
 )
 
 __version__ = "0.1.0"

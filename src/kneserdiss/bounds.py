@@ -54,13 +54,6 @@ def alpha_kneser(n: int, k: int) -> int:
     return binom(n - 1, k - 1)
 
 
-def sandwich(alpha: int) -> tuple[int, int]:
-    """The generic two-sided bound diss between alpha and 2*alpha."""
-    if alpha < 0:
-        raise DomainError("alpha must be nonnegative")
-    return alpha, 2 * alpha
-
-
 def subgraph_lower(n: int, k: int) -> int:
     """C(2k, k): the k-subsets of [2k] induce a perfect matching in K(n, k)."""
     _require_kneser(n, k)
@@ -177,39 +170,29 @@ def alpha_dominance_threshold(k: int) -> int:
     return first
 
 
-def _katona_large_r_fraction(n: int, k: int) -> Fraction | None:
-    # applicable when any two disjoint k-windows leave >= k-1 positions over
+def katona_upper_large_r(n: int, k: int) -> Fraction | None:
+    """Cyclic-window bound for n > 3k-2: (k+1)/k * C(n-1,k-1), exactly.
+
+    Applicable when any two disjoint k-windows leave >= k-1 positions over;
+    None otherwise.  The report floors it.
+    """
+    _require_kneser(n, k, min_k=2)
     if n <= 3 * k - 2:
         return None
     return Fraction(k + 1, k) * binom(n - 1, k - 1)
 
 
-def _katona_small_r_fraction(n: int, k: int) -> Fraction | None:
+def katona_upper_small_r(n: int, k: int) -> Fraction | None:
+    """Cyclic-window bound for 1 <= r = n-2k <= k-2, exactly; None otherwise.
+
+    The double-point frequency enters as k/(2r+1) without rounding up; the
+    report floors this (slightly weaker) displayed form.
+    """
+    _require_kneser(n, k, min_k=2)
     r = n - 2 * k
     if not 1 <= r <= k - 2:
         return None
     return Fraction(2 * (r * k + 2 * r + k + 1), k * (2 * r + 1)) * binom(n - 1, k - 1)
-
-
-def katona_upper_large_r(n: int, k: int) -> int | None:
-    """Cyclic-window bound for n > 3k-2: floor((k+1)/k * C(n-1,k-1)).
-
-    Returns None when the precondition fails (bound not applicable).
-    """
-    _require_kneser(n, k, min_k=2)
-    frac = _katona_large_r_fraction(n, k)
-    return None if frac is None else floor(frac)
-
-
-def katona_upper_small_r(n: int, k: int) -> int | None:
-    """Cyclic-window bound for 1 <= n-2k <= k-2, exact rational then floored.
-
-    The double-point frequency enters as k/(2r+1) without rounding up; the
-    report keeps the raw rational of this (slightly weaker) displayed form.
-    """
-    _require_kneser(n, k, min_k=2)
-    frac = _katona_small_r_fraction(n, k)
-    return None if frac is None else floor(frac)
 
 
 def alpha_equality_lower(k: int) -> int:
@@ -305,9 +288,9 @@ def report(n: int, k: int) -> BoundReport:
         BoundEntry("twice_independence", 2 * alpha),
         BoundEntry("case_split", edge_upper),
     ]
-    for name, fraction in (("katona_large_r", _katona_large_r_fraction),
-                           ("katona_small_r", _katona_small_r_fraction)):
-        frac = fraction(n, k)
+    for name, bound in (("katona_large_r", katona_upper_large_r),
+                        ("katona_small_r", katona_upper_small_r)):
+        frac = bound(n, k)
         if frac is not None:
             upper.append(BoundEntry(name, floor(frac), frac))
     if k <= EDGE_LOCAL_MAX_K:

@@ -13,13 +13,11 @@ class Certificate:
     """A vertex subset claimed to induce maximum degree <= d.
 
     ``members`` are sorted element tuples for Kneser vertices, or 1-based
-    vertex indices for generic graphs.  ``provenance`` records where the set
-    came from: "solver", "heuristic" or "user".
+    vertex indices for generic graphs.
     """
 
     d: int
     members: tuple
-    provenance: str = "user"
     n: int | None = None
     k: int | None = None
 
@@ -68,7 +66,6 @@ def certificate_from_json(text: str) -> Certificate:
     return Certificate(
         d=_json_int(doc.get("d", 1), "d"),
         members=tuple(members),
-        provenance="user",
         n=None if n is None else _json_int(n, "n"),
         k=None if k is None else _json_int(k, "k"),
     )

@@ -183,14 +183,6 @@ class CyclicArrangement:
         if self.order[0] != 1:
             raise DomainError("normalized arrangements start with element 1")
 
-    @classmethod
-    def from_sequence(cls, seq) -> "CyclicArrangement":
-        seq = tuple(seq)
-        if 1 not in seq:
-            raise DomainError("sequence must contain element 1")
-        i = seq.index(1)
-        return cls(order=seq[i:] + seq[:i])
-
     def window_masks(self, k: int) -> list[int]:
         """Element masks of the n cyclic windows of length k."""
         n = len(self.order)
@@ -227,11 +219,13 @@ def _family_masks(family, n: int, k: int) -> frozenset:
     return frozenset(masks)
 
 
+def _window_count(c: CyclicArrangement, masks: frozenset, k: int) -> int:
+    return sum(1 for w in c.window_masks(k) if w in masks)
+
+
 def substrings_in_arrangement(c: CyclicArrangement, family, k: int) -> int:
     """How many family members occupy k cyclically consecutive positions of c."""
-    n = len(c.order)
-    masks = _family_masks(family, n, k)
-    return sum(1 for w in c.window_masks(k) if w in masks)
+    return _window_count(c, _family_masks(family, len(c.order), k), k)
 
 
 def max_substrings(n: int, k: int, family) -> tuple[int, CyclicArrangement]:
@@ -240,7 +234,7 @@ def max_substrings(n: int, k: int, family) -> tuple[int, CyclicArrangement]:
     best = -1
     witness = None
     for c in all_arrangements(n):
-        count = sum(1 for w in c.window_masks(k) if w in masks)
+        count = _window_count(c, masks, k)
         if count > best:
             best, witness = count, c
     return best, witness
@@ -254,7 +248,5 @@ def double_count_identity(n: int, k: int, family) -> bool:
     returning False would indicate an implementation bug.
     """
     masks = _family_masks(family, n, k)
-    total = 0
-    for c in all_arrangements(n):
-        total += sum(1 for w in c.window_masks(k) if w in masks)
+    total = sum(_window_count(c, masks, k) for c in all_arrangements(n))
     return total == len(masks) * factorial(k) * factorial(n - k)

@@ -69,14 +69,13 @@ class GenericGraph:
     adj: tuple[int, ...]
     # for induced subgraphs: position i holds the vertex index in the parent
     parent_index: tuple[int, ...] | None = field(default=None, compare=False)
+    # every vertex as a bitset, set once by __post_init__
+    full_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.adj) != self.order:
             raise DomainError("adjacency length does not match order")
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.order) - 1
+        object.__setattr__(self, "full_mask", (1 << self.order) - 1)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

@@ -149,12 +149,6 @@ def build_kneser(n: int, k: int) -> KneserGraph:
     )
 
 
-def center(g: KneserGraph, i: int) -> Certificate:
-    """The independent set of all vertices containing element i."""
-    members = g.vertex_set_elements(g.center_mask(i))
-    return Certificate(d=0, members=members, provenance="heuristic", n=g.n, k=g.k)
-
-
 def edge_nonneighbors(g: KneserGraph, x, y) -> int:
     """Vertices outside N[x] u N[y] for an adjacent pair x, y, as a bitset.
 

@@ -273,9 +273,7 @@ def _run_search(children_of, closure_of, root, witness, max_nodes, deadline, sha
     if shared is not None:
         incumbent = max(incumbent, shared.value)
     nodes = 0
-    # one test per node: past ``limit`` the budget is spent or a sync is
-    # due.  limit is an int unless a pool task's share of the budget is
-    # fractional, so math.inf adds no int-to-float comparison per node
+    # one test per node: past ``limit`` the budget is spent or a sync is due
     limit = min(_SYNC_INTERVAL - 1, max_nodes)
     stack = [root]
     while stack:
@@ -343,9 +341,10 @@ def _solve(g, d, budget, seed_witness, start=None, stop_at=math.inf, bound_sourc
     ``seed_witness`` None takes the greedy set.  The seed primes pruning and
     is the answer unless a search builds a larger set.  The engine is built
     once and unset limits become math.inf once; the serial search and every
-    pool task get the same arguments.  ``start`` is the state the search
-    starts from, None for the engine's root.  A seed that reaches
-    ``stop_at`` is optimal by the bound, and no search runs.
+    pool task get the same arguments.  A node budget runs in one process,
+    so it holds exactly.  ``start`` is the state the search starts from,
+    None for the engine's root.  A seed that reaches ``stop_at`` is optimal
+    by the bound, and no search runs.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
@@ -362,17 +361,15 @@ def _solve(g, d, budget, seed_witness, start=None, stop_at=math.inf, bound_sourc
         root, children_of, closure_of = _engine(adj, d)
         if start is not None:
             root = start
-        if budget.thread_count == 1:
+        if budget.thread_count == 1 or budget.max_nodes is not None:
             outs = [_run_search(children_of, closure_of, root, seed_witness,
                                 max_nodes, deadline, None, stop_at)]
         else:
             tasks, nodes = _expand_frontier(children_of, root, budget.thread_count * 8)
             ctx = mp.get_context("fork")
             shared = ctx.Value("q", seed_witness.bit_count())
-            # node counts are integers, so / splits the budget exactly as //
-            # would, and keeps math.inf infinite (math.inf // n is nan)
             initargs = (children_of, closure_of, seed_witness,
-                        max(1, max_nodes / len(tasks)), deadline, shared, stop_at)
+                        max_nodes, deadline, shared, stop_at)
             with ctx.Pool(budget.thread_count, initializer=_pool_init,
                           initargs=initargs) as pool:
                 outs = pool.map(_pool_task, tasks, chunksize=1)
@@ -423,7 +420,7 @@ def heuristic_lower(n: int, k: int) -> Certificate:
         )
     else:
         members = tuple(combinations(range(1, 2 * k + 1), k))
-    return Certificate(d=1, members=members, provenance="heuristic", n=n, k=k)
+    return Certificate(d=1, members=members, n=n, k=k)
 
 
 def _heuristic_mask(g: KneserGraph) -> int:
@@ -525,12 +522,6 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
 
     rec(0, 0, 0)
     return best
-
-
-def witness_certificate(g: KneserGraph, result: SolveResult, d: int) -> Certificate:
-    """Package a solve witness as a solver-provenance certificate."""
-    members = g.vertex_set_elements(result.witness)
-    return Certificate(d=d, members=members, provenance="solver", n=g.n, k=g.k)
 
 
 def psi3(g: GenericGraph, budget: SearchBudget | None = None) -> tuple[int, bool]:

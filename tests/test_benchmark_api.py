@@ -1,0 +1,55 @@
+"""The package API that the benchmark in perfbench/ calls or traces.
+
+perfbench/tracing.py wraps functions by name, and perfbench/selfcheck.py
+builds budgets and reads results, so a name cut from the package would
+break ``run.py --trace 1`` or the self-check before any benchmark ran.
+These tests read perfbench/ and change nothing there.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import kneserdiss.cli  # noqa: F401  (tracing targets kneserdiss.cli.main)
+from kneserdiss import SearchBudget, build_kneser, solve_kneser
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def _owner(path):
+    # a dotted path may end in a class name, as "kneserdiss.kneser.KneserGraph"
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise LookupError(path)
+
+
+def test_every_tracing_target_resolves():
+    targets = _tracing_targets()
+    assert targets
+    for owner_path, attr, _span in targets:
+        assert owner_path.startswith("kneserdiss"), owner_path
+        assert callable(getattr(_owner(owner_path), attr)), (owner_path, attr)
+
+
+def test_selfcheck_api():
+    budget = SearchBudget(thread_count=2)
+    assert budget.thread_count == 2
+    g = build_kneser(5, 2)
+    res = solve_kneser(5, 2)
+    doc = res.to_json_dict(g)
+    assert doc["size"] == 6 and len(doc["witness"]) == 6
+    assert g.vertices[0].elements == (1, 2)

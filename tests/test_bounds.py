@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import floor
+
 import pytest
 
 from kneserdiss import (
@@ -21,7 +24,6 @@ from kneserdiss import (
     known_exact,
     nonindependent_upper,
     report,
-    sandwich,
     solve,
     subgraph_lower,
 )
@@ -31,6 +33,7 @@ from kneserdiss.bounds import (
     SRC_ODD,
     SRC_PAIRS,
     SRC_TRIPLES,
+    BoundEntry,
 )
 from kneserdiss.solver import _degd_children
 from support import pascal_binom, small_kneser_parameters
@@ -58,14 +61,6 @@ def test_alpha_values():
     assert alpha_kneser(6, 3) == pascal_binom(5, 2) == 10
     with pytest.raises(DomainError):
         alpha_kneser(3, 2)
-
-
-def test_sandwich():
-    assert sandwich(4) == (4, 8)
-    assert sandwich(21) == (21, 42)
-    assert sandwich(0) == (0, 0)
-    with pytest.raises(DomainError):
-        sandwich(-1)
 
 
 def test_subgraph_lower():
@@ -133,6 +128,15 @@ def test_dominance_threshold_k4_cross_check():
     assert alpha_oracle(t - 1) < edge_case_oracle(t - 1)
 
 
+def test_report_states_the_sandwich():
+    # alpha <= diss <= 2 alpha, as report's first lower and upper entries
+    for n, k in ((4, 2), (5, 2), (8, 3), (13, 5)):
+        rep = report(n, k)
+        alpha = pascal_binom(n - 1, k - 1)
+        assert rep.lower_bounds[0] == BoundEntry("independence_number", alpha)
+        assert rep.upper_bounds[0] == BoundEntry("twice_independence", 2 * alpha)
+
+
 def test_dominance_threshold_out_of_reach():
     # for k=6 the crossover lies beyond the 10k+64 scan cap
     with pytest.raises(SearchFailure):
@@ -140,20 +144,21 @@ def test_dominance_threshold_out_of_reach():
 
 
 def test_katona_large_r():
-    assert katona_upper_large_r(7, 2) == 9
-    assert katona_upper_large_r(8, 3) == 28
-    assert katona_upper_large_r(5, 2) == 6
+    assert katona_upper_large_r(9, 3) == Fraction(112, 3)  # exact, not floored
+    assert floor(katona_upper_large_r(7, 2)) == 9
+    assert floor(katona_upper_large_r(8, 3)) == 28
+    assert floor(katona_upper_large_r(5, 2)) == 6
     assert katona_upper_large_r(7, 3) is None  # needs n > 3k-2
 
 
 def test_katona_large_r_dominates_exact_k2():
     for n in range(5, 41):
-        assert katona_upper_large_r(n, 2) >= max(n - 1, 6)
+        assert floor(katona_upper_large_r(n, 2)) >= max(n - 1, 6)
 
 
 def test_katona_small_r():
-    assert katona_upper_small_r(7, 3) == 30
-    assert katona_upper_small_r(10, 4) == 142
+    assert floor(katona_upper_small_r(7, 3)) == 30
+    assert floor(katona_upper_small_r(10, 4)) == 142
     assert katona_upper_small_r(9, 3) is None  # r=3 > k-2
 
 
@@ -163,11 +168,20 @@ def test_katona_bounds_match_integer_recomputation():
         for n in range(2 * k, 2 * k + 15):
             if n > 3 * k - 2:
                 direct = ((k + 1) * pascal_binom(n - 1, k - 1)) // k
-                assert katona_upper_large_r(n, k) == direct
+                assert floor(katona_upper_large_r(n, k)) == direct
             r = n - 2 * k
             if 1 <= r <= k - 2:
                 num = 2 * (r * k + 2 * r + k + 1) * pascal_binom(n - 1, k - 1)
-                assert katona_upper_small_r(n, k) == num // (k * (2 * r + 1))
+                assert floor(katona_upper_small_r(n, k)) == num // (k * (2 * r + 1))
+            # report floors each applicable bound and keeps it as raw
+            entries = {b.name: b for b in report(n, k).upper_bounds}
+            for name, bound in (("katona_large_r", katona_upper_large_r),
+                                ("katona_small_r", katona_upper_small_r)):
+                frac = bound(n, k)
+                if frac is None:
+                    assert name not in entries, (n, k, name)
+                else:
+                    assert (entries[name].value, entries[name].raw) == (floor(frac), frac)
 
 
 def test_alpha_equality_lower():

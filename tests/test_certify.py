@@ -157,19 +157,20 @@ def test_odd_expansion_contract_errors():
 
 
 def test_arrangement_normalization():
-    c = CyclicArrangement.from_sequence((3, 4, 1, 2, 5))
+    c = CyclicArrangement(order=(1, 2, 5, 3, 4))
     assert c.order == (1, 2, 5, 3, 4)
-    with pytest.raises(DomainError):
-        CyclicArrangement(order=(2, 1, 3))
+    for order in ((2, 1, 3), (3, 4, 1, 2, 5), (1, 2, 2), (1, 2, 4)):
+        with pytest.raises(DomainError):
+            CyclicArrangement(order=order)
     assert len(list(all_arrangements(5))) == 24
     with pytest.raises(CapacityError):
         list(all_arrangements(10))
 
 
 def test_substring_counting():
-    c = CyclicArrangement.from_sequence((1, 2, 3, 4, 5))
+    c = CyclicArrangement(order=(1, 2, 3, 4, 5))
     assert substrings_in_arrangement(c, [(1, 2), (3, 4)], 2) == 2
-    c2 = CyclicArrangement.from_sequence((1, 3, 2, 4, 5))
+    c2 = CyclicArrangement(order=(1, 3, 2, 4, 5))
     assert substrings_in_arrangement(c2, [(1, 2)], 2) == 0
 
 
@@ -228,5 +229,5 @@ def test_double_count_empty_family():
 def test_family_validation():
     with pytest.raises(DomainError):
         substrings_in_arrangement(
-            CyclicArrangement.from_sequence((1, 2, 3, 4)), [(1, 2, 3)], 2
+            CyclicArrangement(order=(1, 2, 3, 4)), [(1, 2, 3)], 2
         )

@@ -142,7 +142,9 @@ def mostly_valid(valid, anything):
 
 N = mostly_valid(st.integers(4, 9), st.integers(-3, 70))
 K = mostly_valid(st.integers(1, 3), st.integers(-3, 35))
-# 2 forks a pool; 0, -3, 65 and 100000 are refused while the budget is built
+# 2 forks a pool only in a reproduce run drawn without --max-nodes, since a
+# node budget runs in one process; 0, -3, 65 and 100000 are refused while
+# the budget is built
 THREADS = st.sampled_from(["1", "1", "1", "1", "2", "0", "-3", "65", "100000"])
 MAX_NODES = st.sampled_from(["1", "30", "300", "300", "-5", "0"])
 MAX_TIME = st.sampled_from(["0.5s", "1m", "10", "1e400", "0", "-1", "nan", "abc"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -15,10 +16,10 @@ from kneserdiss import (
     CapacityError,
     DomainError,
     build_kneser,
-    center,
     check_max_degree,
     edge_nonneighbors,
     enumerate_k_subsets,
+    graph_from_edges,
     induced_subgraph,
     kneser_from_json,
     kneser_to_json,
@@ -238,14 +239,13 @@ def test_graph_invariants_against_set_oracle(n, k):
 
 def test_center_petersen():
     g = build_kneser(5, 2)
-    cert = center(g, 1)
-    assert set(cert.members) == {(1, 2), (1, 3), (1, 4), (1, 5)}
-    assert len(cert) == 4
+    members = g.vertex_set_elements(g.center_mask(1))
+    assert members == ((1, 2), (1, 3), (1, 4), (1, 5))
 
 
 def test_center_8_3_size_matches_oracle():
     g = build_kneser(8, 3)
-    assert len(center(g, 7)) == pascal_binom(7, 2) == 21
+    assert len(g.vertex_set_elements(g.center_mask(7))) == pascal_binom(7, 2) == 21
 
 
 def test_center_is_independent():
@@ -255,15 +255,15 @@ def test_center_is_independent():
             mask = g.center_mask(i)
             assert check_max_degree(g, mask, 0)
     g = build_kneser(4, 2)
-    assert set(center(g, 3).members) == {(1, 3), (2, 3), (3, 4)}
+    assert g.vertex_set_elements(g.center_mask(3)) == ((1, 3), (2, 3), (3, 4))
 
 
 def test_center_domain_error():
     g = build_kneser(5, 2)
     with pytest.raises(DomainError):
-        center(g, 0)
+        g.center_mask(0)
     with pytest.raises(DomainError):
-        center(g, 6)
+        g.center_mask(6)
 
 
 def test_edge_nonneighbors_petersen():
@@ -322,6 +322,16 @@ def test_induced_subgraph_kneser_restriction():
     assert h.order == 20
     assert all(h.degree(v) == 1 for v in range(h.order))
     assert h.parent_index is not None and len(h.parent_index) == 20
+
+
+def test_full_mask_is_computed_once():
+    g = build_kneser(7, 3)
+    generic = graph_from_edges(4, [(0, 1), (2, 3)])
+    for h in (g, generic, dataclasses.replace(g), dataclasses.replace(generic)):
+        assert h.full_mask == (1 << h.order) - 1
+        assert h.full_mask is h.full_mask
+    # a copy sets its own mask, not its source's
+    assert dataclasses.replace(generic, order=2, adj=(2, 1)).full_mask == 3
 
 
 def test_induced_subgraph_trivial_cases():
