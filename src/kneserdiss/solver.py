@@ -21,11 +21,11 @@ the chosen vertices' weights, stay within 2e(R).  No regularity is
 assumed, so the bound holds on any graph.
 
 ``solve`` and ``solve_kneser`` share one search path, which may start
-from a given state instead of the root.  ``solve_kneser`` adds what is
-only sound for Kneser graphs.  At every d >= 1 the search starts with the
-edge x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is seeded with
-a set of at least alpha vertices, so it is as large as any independent
-set; every better set holds an edge, and since K(n, k) is
+from a list of given states instead of the root.  ``solve_kneser`` adds
+what is only sound for Kneser graphs.  At every d >= 1 the search starts
+with the edge x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is
+seeded with a set of at least alpha vertices, so it is as large as any
+independent set; every better set holds an edge, and since K(n, k) is
 edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
 largest set holding xy).  At d=1 the seed is the best known construction
 and the start is (M, 0, 0, x | y), M being the common non-neighbours of x
@@ -37,6 +37,16 @@ vertices, Erdos-Ko-Rado) and the greedy set, and the start is
 d, and every other vertex at most two, so no vertex leaves the free set;
 that is where the general-d engine gets by including x and then y.  At
 d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
+
+The edge's stabilizer (the permutations of {1..n} that fix x, y and the
+rest setwise, or swap x and y) maps the start to itself, and the orbit of
+a free vertex u is every free vertex with u's pair {|u & x|, |u & y|}.
+Root i includes the engine's branch vertex v_i once the orbits O_1..O_{i-1}
+of v_1..v_{i-1} are out of the free set; the last root is the endgame
+state left after them.  A set S holding xy that meets O_i first maps,
+under a permutation taking a vertex of S & O_i to v_i, onto an equally
+large set under root i: the permutation fixes xy and every orbit.  The
+roots are built only when a search runs.
 """
 
 from __future__ import annotations
@@ -261,13 +271,14 @@ def _engine(adj, d):
     return (full, 0), partial(_degd_children, adj, d), _degd_closure
 
 
-def _run_search(children_of, closure_of, root, witness, max_nodes, deadline, shared, stop_at):
-    """Depth-first search from ``root``; (witness, nodes, completed).
+def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, shared, stop_at):
+    """Depth-first search from ``roots``, the first on top; (witness, nodes, completed).
 
     ``witness`` is the seed: its size primes pruning, and it comes back
     unless the search builds a larger set, so the result is always a real
-    set.  The limits are numbers, math.inf when unset.  ``shared`` is the
-    pool's incumbent size, None in a serial search.
+    set.  The incumbent and the limits, numbers that are math.inf when
+    unset, carry across roots.  ``shared`` is the pool's incumbent size,
+    None in a serial search.
     """
     incumbent = witness.bit_count()
     if shared is not None:
@@ -275,7 +286,7 @@ def _run_search(children_of, closure_of, root, witness, max_nodes, deadline, sha
     nodes = 0
     # one test per node: past ``limit`` the budget is spent or a sync is due
     limit = min(_SYNC_INTERVAL - 1, max_nodes)
-    stack = [root]
+    stack = roots[::-1]
     while stack:
         state = stack.pop()
         nodes += 1
@@ -305,9 +316,9 @@ def _run_search(children_of, closure_of, root, witness, max_nodes, deadline, sha
     return witness, nodes, True
 
 
-def _expand_frontier(children_of, root, want):
-    """Breadth-first split of the root into independent subproblems."""
-    frontier = [root]
+def _expand_frontier(children_of, roots, want):
+    """Breadth-first split of the roots into independent subproblems."""
+    frontier = list(roots)
     tasks = []
     expansions = 0
     while frontier and len(tasks) + len(frontier) < want:
@@ -332,19 +343,20 @@ def _pool_init(*args):
 
 def _pool_task(root):
     children_of, closure_of, witness, *limits = _POOL_ARGS
-    return _run_search(children_of, closure_of, root, witness, *limits)
+    return _run_search(children_of, closure_of, [root], witness, *limits)
 
 
-def _solve(g, d, budget, seed_witness, start=None, stop_at=math.inf, bound_source=None):
+def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_source=None):
     """The one search path behind solve and solve_kneser.
 
     ``seed_witness`` None takes the greedy set.  The seed primes pruning and
     is the answer unless a search builds a larger set.  The engine is built
     once and unset limits become math.inf once; the serial search and every
     pool task get the same arguments.  A node budget runs in one process,
-    so it holds exactly.  ``start`` is the state the search starts from,
-    None for the engine's root.  A seed that reaches ``stop_at`` is optimal
-    by the bound, and no search runs.
+    so it holds exactly.  ``roots`` None searches from the engine's root;
+    otherwise ``roots(children, seed size)`` gives the states to search
+    from.  A seed that reaches ``stop_at`` is optimal by the bound, and no
+    search runs and ``roots`` is not called.
     """
     if d < 0:
         raise DomainError("d must be nonnegative")
@@ -359,13 +371,13 @@ def _solve(g, d, budget, seed_witness, start=None, stop_at=math.inf, bound_sourc
     witness, nodes, completed = seed_witness, 0, True
     if seed_witness.bit_count() < stop_at:
         root, children_of, closure_of = _engine(adj, d)
-        if start is not None:
-            root = start
-        if budget.thread_count == 1 or budget.max_nodes is not None:
-            outs = [_run_search(children_of, closure_of, root, seed_witness,
+        starts = [root] if roots is None else roots(children_of, seed_witness.bit_count())
+        # no roots: the seed pruned the start, and there is nothing to split
+        if budget.thread_count == 1 or budget.max_nodes is not None or not starts:
+            outs = [_run_search(children_of, closure_of, starts, seed_witness,
                                 max_nodes, deadline, None, stop_at)]
         else:
-            tasks, nodes = _expand_frontier(children_of, root, budget.thread_count * 8)
+            tasks, nodes = _expand_frontier(children_of, starts, budget.thread_count * 8)
             ctx = mp.get_context("fork")
             shared = ctx.Value("q", seed_witness.bit_count())
             initargs = (children_of, closure_of, seed_witness,
@@ -440,12 +452,12 @@ def solve_kneser(
     """solve() on K(n, k) with the symmetry and bound tricks that are sound here.
 
     At every d >= 1 the search starts with the edge {1..k}, {k+1..2k}
-    chosen, from a seed as large as any independent set (the module
-    docstring says why that is sound).  The d=1 seed is the best known
-    construction, and the search stops once it meets the bound interval's
-    upper end.  The d >= 2 seed is the larger of a center and the greedy
-    set.  For d=0 the center meets the Erdos-Ko-Rado bound, so no search
-    runs.
+    chosen and branches on orbits of its stabilizer, from a seed as large
+    as any independent set (the module docstring says why that is sound).
+    The d=1 seed is the best known construction, and the search stops once
+    it meets the bound interval's upper end.  The d >= 2 seed is the larger
+    of a center and the greedy set.  For d=0 the center meets the
+    Erdos-Ko-Rado bound, so no search runs.
     """
     if d < 0:  # before the build, which may be large
         raise DomainError("d must be nonnegative")
@@ -454,30 +466,69 @@ def solve_kneser(
         # Erdos-Ko-Rado: a center is a maximum independent set
         return _solve(g, d, budget, g.center_mask(1), None,
                       bounds.alpha_kneser(n, k), "independence_number")
-    y = g.vertex_index(range(k + 1, 2 * k + 1))
-    edge = 1 | 1 << y
+    # None takes the greedy seed: on K(n, 1) at d=1, a complete graph, it is
+    # an edge, 2 > alpha
     seed_witness, stop_at, bound_source = None, math.inf, None
-    if d == 1:
-        if k >= 2:
-            rep = bounds.report(n, k)
-            stop_at = rep.best_upper
-            bound_source = next(
-                b.name for b in rep.upper_bounds if b.value == rep.best_upper
-            )
-            seed_witness = _heuristic_mask(g)
-        # on K(n, 1), a complete graph, the greedy seed is an edge: 2 > alpha.
-        # The start is the d=1 engine's state after including x, then y:
-        # the pair is saturated and only their common non-neighbours stay free
-        start = (edge_nonneighbors(g, 0, y), 0, 0, edge)
-    else:
+    if d == 1 and k >= 2:
+        rep = bounds.report(n, k)
+        stop_at = rep.best_upper
+        bound_source = next(
+            b.name for b in rep.upper_bounds if b.value == rep.best_upper
+        )
+        seed_witness = _heuristic_mask(g)
+    elif d >= 2:
         # the seed needs alpha vertices, which a center has whatever the
         # vertex order; at d >= the degree the greedy set is the whole
         # graph.  On a tie the center wins
         seed_witness = max(g.center_mask(1), _greedy_seed(g.adj, d), key=int.bit_count)
-        # x and y have one chosen neighbour each and every other vertex at
-        # most two, so no vertex leaves the free set
-        start = (g.full_mask & ~edge, edge)
-    return _solve(g, d, budget, seed_witness, start, stop_at, bound_source)
+    return _solve(g, d, budget, seed_witness, partial(_edge_orbit_roots, g, d),
+                  stop_at, bound_source)
+
+
+def _edge_type_layers(g: KneserGraph) -> list[list[int]]:
+    """[xs, ys], bit-sliced counts over the centers: xs[a] holds the vertices
+    with exactly a elements in x = {1..k}, ys[b] those with b in y."""
+    k = g.k
+    out = []
+    for centers in (g.centers[:k], g.centers[k:2 * k]):
+        layers = [g.full_mask] + [0] * k
+        for c in centers:
+            for a in range(k, 0, -1):
+                layers[a] = layers[a] & ~c | layers[a - 1] & c
+            layers[0] &= ~c
+        out.append(layers)
+    return out
+
+
+def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> list[tuple]:
+    """solve_kneser's roots at d >= 1 (the module docstring says why).
+
+    Each root is the engine's include child of the state left so far, and
+    then its branch vertex's orbit leaves the free set.  The endgame state
+    is the last root, unless the bound prunes against ``incumbent`` first.
+    """
+    k = g.k
+    y = g.vertex_index(range(k + 1, 2 * k + 1))
+    edge = 1 | 1 << y
+    # where the engine gets by including x and then y (module docstring)
+    if d == 1:
+        state = (edge_nonneighbors(g, 0, y), 0, 0, edge)
+    else:
+        state = (g.full_mask & ~edge, edge)
+    xs, ys = _edge_type_layers(g)
+    low = (1 << k) - 1
+    roots = []
+    # with no unsaturated vertex the d=1 engine's first child is an include
+    # too; the chosen set is the last entry of either engine's state
+    while kids := children_of(state, incumbent):
+        roots.append(kids[0])
+        v = (kids[0][-1] ^ state[-1]).bit_length() - 1
+        m = g.vertices[v].mask
+        a, b = (m & low).bit_count(), (m >> k & low).bit_count()
+        state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + state[1:]
+    if kids is None:
+        roots.append(state)
+    return roots
 
 
 def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:

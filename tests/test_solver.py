@@ -1,5 +1,6 @@
+import operator
 import random
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations, islice
 
 import pytest
@@ -233,12 +234,13 @@ def test_heuristic_mask_is_heuristic_lower():
             assert solver_module._heuristic_mask(g) == expect, (n, k)
 
 
-# (size, optimal, nodes, witness, bound_source), one worker, recorded from
-# the solve_kneser whose vertex lookup went through a dict over all vertices
+# (size, optimal, nodes, witness, bound_source), one worker.  The sizes and
+# witnesses were recorded from the solve_kneser whose vertex lookup went
+# through a dict over all vertices
 VERTEX_FREE_CASES = {
     (7, 3, 0): (15, True, 0, 0x7FFF, "independence_number"),
     (7, 3, 1): (20, True, 0, 0x965B96EF, "edge_local"),
-    (7, 3, 2): (22, True, 25021, 0x182F9BE7F, None),
+    (7, 3, 2): (22, True, 13254, 0x182F9BE7F, None),
     (9, 4, 0): (56, True, 0, 0xFFFFFFFFFFFFFF, "independence_number"),
     (9, 4, 1): (70, True, 0, 0x2258965B8965B96EF12CB72DDE5BBDF, "edge_local"),
     (9, 4, 2): (57, False, 2001, 0x2000000000000793F6C37EFFDFFFBDF, None),
@@ -325,15 +327,24 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
         solve_kneser(5, 2)
 
 
+def edge_types(g):
+    """Each vertex's unordered pair {|v & x|, |v & y|}, by set intersection."""
+    x, y = set(range(1, g.k + 1)), set(range(g.k + 1, 2 * g.k + 1))
+    return [tuple(sorted((len(x & set(v.elements)), len(y & set(v.elements)))))
+            for v in g.vertices]
+
+
 def test_edge_start_is_the_engine_path(monkeypatch):
-    # at every d >= 1, solve_kneser's start is where the engine gets by
-    # including x and then y
-    starts = {}
+    # at every d >= 1 the first root is the include child the engine takes
+    # first from the edge start, where it gets by including x and then y;
+    # each root includes the engine's branch vertex once the orbits of the
+    # earlier roots' vertices are out of the free set
+    recorded = {}
     real_solve = solver_module._solve
 
-    def recording(g, d, budget, seed_witness, start=None, *rest):
-        starts[d] = start
-        return real_solve(g, d, budget, seed_witness, start, *rest)
+    def recording(g, d, budget, seed_witness, roots=None, *rest):
+        recorded[d] = roots
+        return real_solve(g, d, budget, seed_witness, roots, *rest)
 
     monkeypatch.setattr(solver_module, "_solve", recording)
     for n, k in ((5, 2), (7, 2), (7, 3), (8, 3), (9, 4)):
@@ -341,6 +352,7 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             solve_kneser(n, k, d, SearchBudget(max_nodes=1))
         g = build_kneser(n, k)
         y = g.vertex_index(range(k + 1, 2 * k + 1))
+        edge = 1 | 1 << y
         script = iter((0, y))
 
         def scripted(adj, free):
@@ -350,14 +362,79 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(solver_module, "_branch_vertex", scripted)
             root, children_of, _ = solver_module._engine(g.adj, 1)
-            state = children_of(children_of(root, -1)[0], -1)[0]
-        assert starts[1] == state == (edge_nonneighbors(g, 0, y), 0, 0, 1 | 1 << y), (n, k)
-        edge = 1 | 1 << y
-        for d in (2, 3):
-            include = partial(solver_module._degd_include, g.adj, d)
-            assert starts[d] == include(*include(g.full_mask, 0, 0), y), (n, k, d)
-            assert starts[d] == (g.full_mask & ~edge, edge), (n, k, d)
-            assert_free_vertices_can_join(g.adj, d, starts[d])
+            start = children_of(children_of(root, -1)[0], -1)[0]
+        assert start == (edge_nonneighbors(g, 0, y), 0, 0, edge), (n, k)
+        types = edge_types(g)
+        for d in (1, 2, 3):
+            if d >= 2:
+                include = partial(solver_module._degd_include, g.adj, d)
+                start = include(*include(g.full_mask, 0, 0), y)
+                assert start == (g.full_mask & ~edge, edge), (n, k, d)
+                assert_free_vertices_can_join(g.adj, d, start)
+            _, children_of, _ = solver_module._engine(g.adj, d)
+            roots = recorded[d](children_of, -1)
+            assert roots[0] == children_of(start, -1)[0], (n, k, d)
+            state, branched = start, set()
+            for r in roots[:-1]:
+                v, _ = solver_module._branch_vertex(g.adj, state[0])
+                assert r[-1] == edge | 1 << v and r == children_of(state, -1)[0], (n, k, d)
+                assert types[v] not in branched, (n, k, d)
+                branched.add(types[v])
+                out = sum(1 << u for u in bits(state[0]) if types[u] == types[v])
+                state = (state[0] & ~out,) + state[1:]
+            # the last root is the state where the engine's endgame applies
+            assert roots[-1] == state and children_of(state, -1) is None, (n, k, d)
+            # an incumbent cuts the list short, never reorders it
+            for incumbent in range(g.order + 1):
+                pruned = recorded[d](children_of, incumbent)
+                assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
+
+
+def test_edge_orbit_masks_are_orbits():
+    # the bit-sliced layers count x's and y's elements in each vertex; the
+    # orbit masks partition the start's free set and each is closed under
+    # the transpositions inside x, y and the rest and under the x <-> y swap
+    for n, k in ((7, 3), (9, 4), (12, 5), (5, 1)):
+        g = build_kneser(n, k)
+        xs, ys = solver_module._edge_type_layers(g)
+        x, y = set(range(1, k + 1)), set(range(k + 1, 2 * k + 1))
+        for a in range(k + 1):
+            assert xs[a] == sum(1 << i for i, v in enumerate(g.vertices)
+                                if len(x & set(v.elements)) == a), (n, k, a)
+            assert ys[a] == sum(1 << i for i, v in enumerate(g.vertices)
+                                if len(y & set(v.elements)) == a), (n, k, a)
+        yi = g.vertex_index(sorted(y))
+        orbit_masks = [xs[a] & ys[b] | xs[b] & ys[a]
+                       for a in range(k + 1) for b in range(a, k + 1 - a)]
+        starts = (g.full_mask & ~(1 | 1 << yi), edge_nonneighbors(g, 0, yi))
+        for free in (g.full_mask,) + starts:
+            parts = [m & free for m in orbit_masks]
+            assert sum(p.bit_count() for p in parts) == free.bit_count(), (n, k)
+            assert reduce(operator.or_, parts) == free, (n, k)
+        orbit_of = {v: idx for idx, m in enumerate(orbit_masks) for v in bits(m)}
+        rest = range(2 * k + 1, n + 1)
+        swaps = [(i, j) for part in (sorted(x), sorted(y), rest)
+                 for i, j in combinations(part, 2)]
+        perms = [{i: j, j: i} for i, j in swaps]
+        perms.append({i: i + k for i in x} | {i + k: i for i in x})
+        for perm in perms:
+            for v, elements in enumerate(g.vertex_set_elements(g.full_mask)):
+                image = g.vertex_index(sorted(perm.get(e, e) for e in elements))
+                assert orbit_of[image] == orbit_of[v], (n, k, perm, elements)
+
+
+def test_start_states_wait_for_a_search(monkeypatch):
+    # when the seed already meets the bound interval no start state, and
+    # no orbit mask, is built
+    def refuse(*args):
+        raise AssertionError("built a start state for a search that never ran")
+
+    monkeypatch.setattr(solver_module, "edge_nonneighbors", refuse)
+    monkeypatch.setattr(solver_module, "_edge_type_layers", refuse)
+    for n, k in ((9, 2), (7, 3), (9, 4)):
+        res = solve_kneser(n, k, 1)
+        assert res.optimal and res.nodes_explored == 0, (n, k)
+        assert res.bound_source is not None
 
 
 def test_edge_start_matches_plain_solve():
@@ -370,7 +447,7 @@ def test_edge_start_matches_plain_solve():
             res = solve_kneser(n, k, 1, SearchBudget(thread_count=threads))
             assert res.optimal and res.best_size == exact, (n, k, threads)
             assert check_max_degree(g, res.witness, 1)
-    for n, k in ((7, 2), (8, 2), (9, 2), (7, 3)):
+    for n, k in ((7, 2), (8, 2), (9, 2), (10, 2), (7, 3)):
         g = build_kneser(n, k)
         for d in (2, 3):
             exact = solve(g, d).best_size
@@ -393,14 +470,16 @@ def test_edge_start_matches_plain_solve():
 
 def test_general_d_seed_rule(monkeypatch):
     # at d >= the degree the greedy seed is the whole graph, which beats the
-    # center and closes the search in at most one node
+    # center and prunes the edge start, so no root is searched, and no pool
+    # starts with nothing to split
     for n, k, d in ((6, 3, 2), (5, 2, 3), (7, 3, 4)):
-        res = solve_kneser(n, k, d)
-        assert res.witness == build_kneser(n, k).full_mask, (n, k, d)
-        assert res.optimal and res.nodes_explored <= 1, (n, k, d)
+        for threads in (1, 2):
+            res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
+            assert res.witness == build_kneser(n, k).full_mask, (n, k, d, threads)
+            assert res.optimal and res.nodes_explored == 0, (n, k, d, threads)
     # one worker repeats this count
     res = solve_kneser(7, 3, 2)
-    assert res.best_size == 22 and res.optimal and res.nodes_explored == 25_021
+    assert res.best_size == 22 and res.optimal and res.nodes_explored == 13_254
     # on K(9,2) at d=2 no set holding the edge has more than 7 vertices, so
     # the answer alpha = 8 must come from the seed: the center keeps it
     # there when the greedy set falls short
