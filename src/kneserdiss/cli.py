@@ -233,7 +233,7 @@ def cmd_reproduce(args) -> int:
         groups = [g.strip() for g in args.rows.split(",")]
         unknown = [g for g in groups if g not in ALL_GROUPS]
         if unknown:
-            raise DomainError(f"unknown row groups: {', '.join(unknown)}")
+            raise DomainError(f"unknown row groups: {', '.join(map(repr, unknown))}")
     else:
         groups = list(ALL_GROUPS)
     rng = random.Random(args.seed)

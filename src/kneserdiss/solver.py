@@ -5,11 +5,13 @@ maximum degree at most d (d=0: independent set, d=1: dissociation set).
 A search state is a tuple of vertex bitsets; every size and degree is a
 popcount.  Both engines keep every undecided (free) vertex able to join:
 it has at most d chosen neighbours and none of them already has d.  The
-d=1 engine's state is (free, unsat, seen, chosen), where ``unsat`` holds
-the chosen vertices without a chosen neighbour and ``seen`` covers the
-free vertices next to one, so each free vertex has at most one chosen
+d=1 engine's state is (free, unsat, seen, cap, chosen), where ``unsat``
+holds the chosen vertices without a chosen neighbour and ``seen`` covers
+the free vertices next to one, so each free vertex has at most one chosen
 neighbour.  Its counting bound and exact endgame closure both fall out of
-that.  The general-d engine's state is (free, chosen).
+that.  ``cap`` is an upper bound on every free vertex's free-degree, the
+parent's maximum, so the branch scan stops at the first vertex that
+reaches it.  The general-d engine's state is (free, chosen).
 
 The general-d engine bounds each node by degree counting inside
 R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
@@ -28,15 +30,15 @@ seeded with a set of at least alpha vertices, so it is as large as any
 independent set; every better set holds an edge, and since K(n, k) is
 edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
 largest set holding xy).  At d=1 the seed is the best known construction
-and the start is (M, 0, 0, x | y), M being the common non-neighbours of x
-and y: where the d=1 engine gets by including x and then y, so
-diss = max(alpha, 2 + diss(K[M])), and the search stops at the bound
-report's upper end.  At d >= 2 the seed is the larger of a center (alpha
-vertices, Erdos-Ko-Rado) and the greedy set, and the start is
-(V - {x, y}, {x, y}): x and y have one chosen neighbour each, fewer than
-d, and every other vertex at most two, so no vertex leaves the free set;
-that is where the general-d engine gets by including x and then y.  At
-d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
+and the start is (M, 0, 0, |V|, x | y), M being the common non-neighbours
+of x and y: where the d=1 engine gets by including x and then y, but with
+the loosest cap, so diss = max(alpha, 2 + diss(K[M])), and the search
+stops at the bound report's upper end.  At d >= 2 the seed is the larger
+of a center (alpha vertices, Erdos-Ko-Rado) and the greedy set, and the
+start is (V - {x, y}, {x, y}): x and y have one chosen neighbour each,
+fewer than d, and every other vertex at most two, so no vertex leaves the
+free set; that is where the general-d engine gets by including x and then
+y.  At d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
 
 The edge's stabilizer (the permutations of {1..n} that fix x, y and the
 rest setwise, or swap x and y) maps the start to itself, and the orbit of
@@ -112,12 +114,16 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 engine (free, unsat, seen, chosen)
+# d = 1 engine (free, unsat, seen, cap, chosen)
 # ---------------------------------------------------------------------------
 
 
-def _branch_vertex(adj, free):
-    """Undecided vertex of maximum undecided-degree, lowest index on ties."""
+def _branch_vertex(adj, free, cap):
+    """Undecided vertex of maximum undecided-degree, lowest index on ties.
+
+    ``cap`` bounds every undecided-degree (the parent's maximum: free sets
+    only shrink), so the scan stops at the first vertex that reaches it.
+    """
     best_v, best_d = -1, -1
     m = free
     while m:
@@ -125,6 +131,8 @@ def _branch_vertex(adj, free):
         v = lsb.bit_length() - 1
         d = (adj[v] & free).bit_count()
         if d > best_d:
+            if d >= cap:
+                return v, d
             best_d, best_v = d, v
         m ^= lsb
     return best_v, best_d
@@ -133,13 +141,13 @@ def _branch_vertex(adj, free):
 def _deg1_children(adj, state, incumbent):
     """Include/exclude children for the branch vertex, [] when the counting
     bound prunes, or None at the endgame."""
-    free, unsat, seen, chosen = state
+    free, unsat, seen, cap, chosen = state
     # undecided vertices off ``seen`` may all join; those on it, at most
     # one per unsaturated vertex
     sc = (seen & free).bit_count()
     if chosen.bit_count() + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
         return []
-    v, bd = _branch_vertex(adj, free)
+    v, bd = _branch_vertex(adj, free, cap)
     if bd <= 0:
         # no undecided-undecided edges left: the closure is exact
         return None
@@ -151,19 +159,19 @@ def _deg1_children(adj, state, incumbent):
         # already touch an unsaturated vertex would reach two and go out
         nbf = adj[v] & free
         nfree = free & ~vbit & ~(nbf & seen)
-        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), chosen | vbit))
+        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), bd, chosen | vbit))
     elif ku.bit_count() == 1:
         # v pairs up with its unique unsaturated neighbor; both saturate
         u = ku.bit_length() - 1
         nfree = free & ~vbit & ~adj[v] & ~adj[u]
-        out.append((nfree, unsat & ~ku, seen & nfree, chosen | vbit))
-    out.append((free & ~vbit, unsat, seen, chosen))
+        out.append((nfree, unsat & ~ku, seen & nfree, bd, chosen | vbit))
+    out.append((free & ~vbit, unsat, seen, bd, chosen))
     return out
 
 
 def _deg1_closure(adj, state):
     """Witness of the exact optimum once no undecided-undecided edges remain."""
-    free, unsat, seen, chosen = state
+    free, unsat, seen, _, chosen = state
     wit = chosen | (free & ~seen)
     m = unsat
     while m:
@@ -267,7 +275,7 @@ def _engine(adj, d):
     """
     full = (1 << len(adj)) - 1
     if d == 1:
-        return (full, 0, 0, 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
+        return (full, 0, 0, len(adj), 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
     return (full, 0), partial(_degd_children, adj, d), _degd_closure
 
 
@@ -316,14 +324,18 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, sh
     return witness, nodes, True
 
 
-def _expand_frontier(children_of, roots, want):
-    """Breadth-first split of the roots into independent subproblems."""
+def _expand_frontier(children_of, roots, want, incumbent):
+    """Breadth-first split of the roots into independent subproblems.
+
+    States the seed's size ``incumbent`` prunes are dropped, so the split
+    may leave no task at all.
+    """
     frontier = list(roots)
     tasks = []
     expansions = 0
     while frontier and len(tasks) + len(frontier) < want:
         state = frontier.pop(0)
-        kids = children_of(state, -1)  # no incumbent yet: nothing is pruned
+        kids = children_of(state, incumbent)
         expansions += 1
         if kids is None:
             tasks.append(state)
@@ -369,23 +381,27 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     deadline = started + (math.inf if budget.max_time is None else budget.max_time)
 
     witness, nodes, completed = seed_witness, 0, True
-    if seed_witness.bit_count() < stop_at:
+    seed_size = seed_witness.bit_count()
+    if seed_size < stop_at:
         root, children_of, closure_of = _engine(adj, d)
-        starts = [root] if roots is None else roots(children_of, seed_witness.bit_count())
-        # no roots: the seed pruned the start, and there is nothing to split
-        if budget.thread_count == 1 or budget.max_nodes is not None or not starts:
+        starts = [root] if roots is None else roots(children_of, seed_size)
+        if budget.thread_count == 1 or budget.max_nodes is not None:
             outs = [_run_search(children_of, closure_of, starts, seed_witness,
                                 max_nodes, deadline, None, stop_at)]
         else:
-            tasks, nodes = _expand_frontier(children_of, starts, budget.thread_count * 8)
-            ctx = mp.get_context("fork")
-            shared = ctx.Value("q", seed_witness.bit_count())
-            initargs = (children_of, closure_of, seed_witness,
-                        max_nodes, deadline, shared, stop_at)
-            with ctx.Pool(budget.thread_count, initializer=_pool_init,
-                          initargs=initargs) as pool:
-                outs = pool.map(_pool_task, tasks, chunksize=1)
-        witness = max((o[0] for o in outs), key=int.bit_count)
+            tasks, nodes = _expand_frontier(children_of, starts,
+                                            budget.thread_count * 8, seed_size)
+            outs = []
+            # no tasks: the seed pruned every state, and no pool starts
+            if tasks:
+                ctx = mp.get_context("fork")
+                shared = ctx.Value("q", seed_size)
+                initargs = (children_of, closure_of, seed_witness,
+                            max_nodes, deadline, shared, stop_at)
+                with ctx.Pool(budget.thread_count, initializer=_pool_init,
+                              initargs=initargs) as pool:
+                    outs = pool.map(_pool_task, tasks, chunksize=1)
+        witness = max((o[0] for o in outs), default=seed_witness, key=int.bit_count)
         nodes += sum(o[1] for o in outs)
         completed = all(o[2] for o in outs)
 
@@ -512,7 +528,7 @@ def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> li
     edge = 1 | 1 << y
     # where the engine gets by including x and then y (module docstring)
     if d == 1:
-        state = (edge_nonneighbors(g, 0, y), 0, 0, edge)
+        state = (edge_nonneighbors(g, 0, y), 0, 0, g.order, edge)
     else:
         state = (g.full_mask & ~edge, edge)
     xs, ys = _edge_type_layers(g)

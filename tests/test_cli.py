@@ -283,8 +283,12 @@ def test_reproduce_k2_rows_only(capsys):
 
 
 def test_reproduce_unknown_group(capsys):
-    code, _, err = run(capsys, "reproduce", "--rows", "nonsense")
-    assert code == 2
+    # each unknown name is quoted, so an empty one still shows
+    for rows, shown in (("nonsense", "'nonsense'"), (",k2", "''"),
+                        ("k2, nonsense ,", "'nonsense', ''")):
+        code, _, err = run(capsys, "reproduce", "--rows", rows)
+        assert code == 2, rows
+        assert err.strip() == f"error: unknown row groups: {shown}", rows
 
 
 def test_reproduce_json_output(capsys):

@@ -355,15 +355,16 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         edge = 1 | 1 << y
         script = iter((0, y))
 
-        def scripted(adj, free):
-            v = next(script)
-            return v, (adj[v] & free).bit_count()
+        def scripted(adj, free, cap):
+            # the scripted x and y need not be maximum, so hand the children
+            # a cap no free-degree can pass: the order
+            return next(script), len(adj)
 
         with monkeypatch.context() as patch:
             patch.setattr(solver_module, "_branch_vertex", scripted)
             root, children_of, _ = solver_module._engine(g.adj, 1)
             start = children_of(children_of(root, -1)[0], -1)[0]
-        assert start == (edge_nonneighbors(g, 0, y), 0, 0, edge), (n, k)
+        assert start == (edge_nonneighbors(g, 0, y), 0, 0, g.order, edge), (n, k)
         types = edge_types(g)
         for d in (1, 2, 3):
             if d >= 2:
@@ -376,7 +377,7 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             assert roots[0] == children_of(start, -1)[0], (n, k, d)
             state, branched = start, set()
             for r in roots[:-1]:
-                v, _ = solver_module._branch_vertex(g.adj, state[0])
+                v, _ = solver_module._branch_vertex(g.adj, state[0], g.order)
                 assert r[-1] == edge | 1 << v and r == children_of(state, -1)[0], (n, k, d)
                 assert types[v] not in branched, (n, k, d)
                 branched.add(types[v])
@@ -388,6 +389,85 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             for incumbent in range(g.order + 1):
                 pruned = recorded[d](children_of, incumbent)
                 assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
+
+
+def full_scan_branch_vertex(adj, free):
+    """The d=1 branch rule read off every free vertex: maximum free-degree,
+    lowest index on ties; (-1, -1) when nothing is free."""
+    if not free:
+        return -1, -1
+    v = max(bits(free), key=lambda u: ((adj[u] & free).bit_count(), -u))
+    return v, (adj[v] & free).bit_count()
+
+
+def test_capped_branch_scan_is_exact(monkeypatch):
+    # at every node the d=1 engine visits, the state's cap bounds every
+    # free-degree, and the scan that stops at the cap picks the vertex a
+    # full scan picks
+    real = solver_module._deg1_children
+    calls = []
+
+    def checked(adj, state, incumbent):
+        free, cap = state[0], state[3]
+        expect = full_scan_branch_vertex(adj, free)
+        assert cap >= expect[1]
+        assert solver_module._branch_vertex(adj, free, cap) == expect
+        calls.append(state)
+        return real(adj, state, incumbent)
+
+    monkeypatch.setattr(solver_module, "_deg1_children", checked)
+    rng = random.Random(23)
+    graphs = [build_kneser(7, 3), build_kneser(8, 3)] + [
+        random_graph(rng.randint(12, 32), (0.1, 0.2, 0.3, 0.5)[i % 4], rng) for i in range(12)
+    ]
+    for g in graphs:
+        calls.clear()
+        res = solve(g, 1)
+        # every node the search counts went through the check
+        assert len(calls) == res.nodes_explored > 0, g.order
+    # solve_kneser's orbit roots start from a cap of the order
+    for n, k in ((8, 3), (9, 3), (10, 4)):
+        calls.clear()
+        solve_kneser(n, k, 1, SearchBudget(max_nodes=3000))
+        assert calls, (n, k)
+
+
+# plain solve at d=1, one worker: (size, nodes, witness), recorded before
+# the branch scan stopped at the cap
+D1_TRAVERSALS = {
+    "K(7,3)": (20, 5635, 0x965B96EF),
+    "K(8,3)": (21, 46327, 0x1FFFFF),
+    "K(9,3)": (28, 46689, 0xFFFFFFF),
+    "G(40,0.2) seed 13": (16, 6925, 0x7086C215C6),
+}
+
+
+def test_d1_traversals_match_recorded():
+    graphs = {
+        "K(7,3)": build_kneser(7, 3),
+        "K(8,3)": build_kneser(8, 3),
+        "K(9,3)": build_kneser(9, 3),
+        "G(40,0.2) seed 13": random_graph(40, 0.2, random.Random(13)),
+    }
+    for name, expect in D1_TRAVERSALS.items():
+        res = solve(graphs[name], 1)
+        assert res.optimal
+        assert (res.best_size, res.nodes_explored, res.witness) == expect, name
+
+
+def test_pool_split_prunes_against_the_seed(monkeypatch):
+    # the greedy seed is the whole graph here, so the split prunes the root
+    # and no pool starts: two workers count the one node one worker does
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool with nothing to split")
+
+    monkeypatch.setattr(solver_module.mp, "get_context", no_pool)
+    for (n, k), d in (((6, 3), 2), ((7, 3), 4)):
+        g = build_kneser(n, k)
+        serial = solve(g, d)
+        res = solve(g, d, SearchBudget(thread_count=2))
+        assert serial.nodes_explored == res.nodes_explored == 1, (n, k, d)
+        assert res.optimal and res.witness == serial.witness == g.full_mask, (n, k, d)
 
 
 def test_edge_orbit_masks_are_orbits():
