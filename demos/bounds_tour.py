@@ -7,7 +7,6 @@ table is reproducible bit for bit.
 """
 
 from kneserdiss import alpha_dominance_threshold, report
-from kneserdiss.errors import SearchFailure
 
 
 def show(n, k):
@@ -36,9 +35,5 @@ for n, k in ((8, 4), (9, 4), (10, 4), (12, 4), (12, 5), (14, 5)):
 
 print()
 print("=== where independence starts dominating the edge-containing case ===")
-for k in (2, 3, 4, 5):
+for k in (2, 3, 4, 5, 6):
     print(f"k={k}: alpha dominance from n = {alpha_dominance_threshold(k)}")
-try:
-    alpha_dominance_threshold(6)
-except SearchFailure as exc:
-    print(f"k=6: {exc}")

@@ -10,7 +10,7 @@ and by sampling for O_3.
 import random
 from itertools import combinations
 
-from kneserdiss import build_kneser, find_x_matching, odd_expansion_check
+from kneserdiss import build_kneser, find_x_matching, odd_expansion_check, odd_hall_matching
 from kneserdiss.graphs import bits
 
 for k in (2, 3):
@@ -39,12 +39,7 @@ for k in (2, 3):
     rng = random.Random(k)
     for _ in range(3):
         sub = rng.sample(center, rng.randint(2, len(center)))
-        nbrs = 0
-        for v in sub:
-            nbrs |= g.adj[v]
-        nbrs &= bottom
-        edges = [(u, w) for u in sub for w in bits(g.adj[u] & nbrs)]
-        res = find_x_matching(sub, list(bits(nbrs)), edges)
+        res = odd_hall_matching(k, sub, g)
         pairs = [(g.vertices[x].elements, g.vertices[y].elements)
                  for x, y in res.matching]
         print(f"|L|={len(sub)}: saturating matching, e.g. "

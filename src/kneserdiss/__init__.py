@@ -29,6 +29,7 @@ from .certify import (
     find_x_matching,
     max_substrings,
     odd_expansion_check,
+    odd_hall_matching,
     substrings_in_arrangement,
 )
 from .errors import CapacityError, DomainError, SearchFailure

@@ -16,8 +16,6 @@ from math import comb, floor
 
 from .errors import CapacityError, DomainError, SearchFailure
 
-# threshold scan gives up past this point (never reached for sane k)
-_SCAN_SLACK = 64
 # str() of an int stops at 4,300 digits by default; 2**14_000 has 4,215, so
 # every reported value, at most a small multiple of C(n, k), still prints
 MAX_VALUE_BITS = 14_000
@@ -152,10 +150,15 @@ def alpha_dominance_threshold(k: int) -> int:
     From this point on a maximum dissociation set must be independent.  The
     scan also verifies the inequality stays true over the whole scanned
     range instead of assuming monotonicity.
+
+    The edge case C(n,k) - 2C(n-k,k) + C(n-2k,k) is a second difference of
+    step k, near k^2 * k(k-1)/n^2 * C(n,k), and alpha = k/n * C(n,k), so
+    the threshold lies near k^2 (k-1) (826 at k = 10, 25,278 at k = 30).
+    The scan runs to 2k^3, twice that.
     """
     if k < 2:
         raise DomainError("threshold defined for k >= 2")
-    cap = 10 * k + _SCAN_SLACK
+    cap = 2 * k**3
     first = None
     for n in range(2 * k, cap + 1):
         holds = alpha_kneser(n, k) >= nonindependent_upper(n, k)
@@ -212,26 +215,7 @@ SRC_CLOSURE = "bound_closure"               # best lower meets an edge upper bou
 
 def known_exact(n: int, k: int) -> tuple[int, str] | None:
     """Exact diss(K(n,k)) where a theorem or bound closure settles it."""
-    _require_kneser(n, k, min_k=2)
-    # edge_local never exceeds the case split, since t <= |M|
-    edge_upper = edge_local_upper(n, k) if k <= EDGE_LOCAL_MAX_K else combined_upper(n, k)
-    return _known_exact(n, k, edge_upper)
-
-
-def _known_exact(n: int, k: int, edge_upper: int) -> tuple[int, str] | None:
-    """known_exact, given the sharpest edge upper bound for (n, k)."""
-    if k == 2:
-        return max(n - 1, 6), SRC_PAIRS
-    if k == 3 and n >= 8:
-        return binom(n - 1, 2), SRC_TRIPLES
-    if n == 2 * k:
-        return binom(2 * k, k), SRC_MATCHING
-    if n == 2 * k + 1:
-        return binom(2 * k, k), SRC_ODD
-    lo = max(alpha_kneser(n, k), subgraph_lower(n, k))
-    if edge_upper == lo:
-        return lo, SRC_CLOSURE
-    return None
+    return report(n, k).known_exact
 
 
 @dataclass(frozen=True)
@@ -302,9 +286,20 @@ def report(n: int, k: int) -> BoundReport:
     # alongside so that solver pruning never quotes the value it must prove
     best_lower = max(b.value for b in lower)
     best_upper = min(b.value for b in upper)
-    exact = _known_exact(n, k, edge_upper)
     if best_lower > best_upper:
         raise AssertionError(f"inconsistent bounds for ({n},{k})")
+    if k == 2:
+        exact = max(n - 1, 6), SRC_PAIRS
+    elif k == 3 and n >= 8:
+        exact = binom(n - 1, 2), SRC_TRIPLES
+    elif n == 2 * k:
+        exact = binom(2 * k, k), SRC_MATCHING
+    elif n == 2 * k + 1:
+        exact = binom(2 * k, k), SRC_ODD
+    elif edge_upper == best_lower:  # the sharpest edge bound closes the interval
+        exact = best_lower, SRC_CLOSURE
+    else:
+        exact = None
 
     return BoundReport(
         n=n,

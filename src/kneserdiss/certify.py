@@ -139,8 +139,8 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
     return MatchingResult(violator=frozenset(w))
 
 
-def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
-    """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph K(2k+1, k).
+def _odd_neighborhood(k: int, subset, g: KneserGraph | None) -> tuple[KneserGraph, int, int]:
+    """The odd graph K(2k+1, k), L and N(L) n D, the last two as bitsets.
 
     L must be a nonempty subset of the center of element 2k+1; D is the set
     of vertices avoiding 2k+1 (they induce a perfect matching).
@@ -154,8 +154,6 @@ def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
         raise DomainError(f"graph is not the odd graph K({n},{k})")
 
     center = g.center_mask(n)
-    bottom = g.full_mask & ~center
-
     lmask = 0
     for item in subset:
         lmask |= 1 << g.vertex_index(item)
@@ -167,7 +165,24 @@ def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
     nbhd = 0
     for v in bits(lmask):
         nbhd |= g.adj[v]
-    return k * (nbhd & bottom).bit_count() >= (k + 1) * lmask.bit_count()
+    return g, lmask, nbhd & ~center
+
+
+def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
+    """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph K(2k+1, k)."""
+    _, lmask, nbhd = _odd_neighborhood(k, subset, g)
+    return k * nbhd.bit_count() >= (k + 1) * lmask.bit_count()
+
+
+def odd_hall_matching(k: int, subset, g: KneserGraph | None = None) -> MatchingResult:
+    """Matching of L into D along the edges of K(2k+1, k), or a Hall violator.
+
+    This is the bipartite graph behind diss(K(2k+1, k)) = C(2k, k), with L
+    and D as in odd_expansion_check; vertices are graph indices.
+    """
+    g, lmask, nbhd = _odd_neighborhood(k, subset, g)
+    edges = [(u, v) for u in bits(lmask) for v in bits(g.adj[u] & nbhd)]
+    return find_x_matching(bits(lmask), bits(nbhd), edges)
 
 
 @dataclass(frozen=True)

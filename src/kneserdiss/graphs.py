@@ -8,29 +8,12 @@ vertex indices ``0 .. order-1``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, DomainError
 
-DEFAULT_VERTEX_CAP = 2_000_000
-VERTEX_CAP_ENV = "KNESER_VERTEX_CAP"
 # adjacency rows take V * ceil(V/8) bytes; K(22,6) needs about 0.7 GB
 MAX_ADJACENCY_BYTES = 2 << 30
-
-
-def vertex_cap() -> int:
-    """Largest vertex count a graph may have: ``KNESER_VERTEX_CAP`` or the default."""
-    raw = os.environ.get(VERTEX_CAP_ENV)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise CapacityError(f"{VERTEX_CAP_ENV}={raw!r} is not an integer") from exc
-    if cap <= 0:
-        raise CapacityError(f"{VERTEX_CAP_ENV} must be positive")
-    return cap
 
 
 def require_adjacency_fits(order: int, name: str) -> None:
@@ -150,9 +133,6 @@ def read_dimacs(text: str) -> GenericGraph:
             order = _dimacs_int(tok[2], lineno)
             declared_edges = _dimacs_int(tok[3], lineno)
             # checked before graph_from_edges allocates a row per vertex
-            cap = vertex_cap()
-            if order > cap:
-                raise CapacityError(f"line {lineno}: {order} vertices exceed the vertex cap {cap}")
             require_adjacency_fits(order, f"line {lineno}: a graph on {order} vertices")
         elif tok[0] == "e":
             if order is None:

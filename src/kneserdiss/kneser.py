@@ -24,7 +24,7 @@ from math import comb
 
 from .certificates import Certificate, _json_int, _load_json
 from .errors import CapacityError, DomainError
-from .graphs import GenericGraph, bits, require_adjacency_fits, vertex_cap
+from .graphs import GenericGraph, bits, require_adjacency_fits
 
 MAX_GROUND_SET = 64
 
@@ -59,10 +59,9 @@ def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
         raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
     if n > MAX_GROUND_SET:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
+    # no more vertices than a graph's adjacency rows could hold
     count = comb(n, k)
-    limit = vertex_cap()
-    if count > limit:
-        raise CapacityError(f"C({n},{k}) = {count} exceeds the vertex cap {limit}")
+    require_adjacency_fits(count, f"a graph on C({n},{k}) = {count} vertices")
     return [KSubset(sum(c), n) for c in combinations([1 << e for e in range(n)], k)]
 
 
@@ -116,8 +115,8 @@ def _check_parameters(n: int, k: int) -> None:
 def build_kneser(n: int, k: int) -> KneserGraph:
     """Construct K(n, k).
 
-    Requires n >= 2k >= 2, C(n,k) within the vertex cap, and adjacency rows
-    within graphs.MAX_ADJACENCY_BYTES, which is checked before anything is built.
+    Requires n >= 2k >= 2 and adjacency rows within
+    graphs.MAX_ADJACENCY_BYTES, which is checked before anything is built.
     One pass over the k-subsets sets bit i in the bytearray of each element
     of vertex i, and each bytearray is read as one center; the rows then go
     prefix by prefix, so the center union of a (k-1)-prefix is formed once

@@ -54,7 +54,6 @@ roots are built only when a search runs.
 from __future__ import annotations
 
 import math
-import multiprocessing as mp
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -394,7 +393,10 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
             outs = []
             # no tasks: the seed pruned every state, and no pool starts
             if tasks:
-                ctx = mp.get_context("fork")
+                # imported here, so a process that never forks never loads it
+                import multiprocessing
+
+                ctx = multiprocessing.get_context("fork")
                 shared = ctx.Value("q", seed_size)
                 initargs = (children_of, closure_of, seed_witness,
                             max_nodes, deadline, shared, stop_at)

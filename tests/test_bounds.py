@@ -6,7 +6,6 @@ import pytest
 from kneserdiss import (
     CapacityError,
     DomainError,
-    SearchFailure,
     alpha_dominance_threshold,
     alpha_equality_lower,
     alpha_kneser,
@@ -137,10 +136,30 @@ def test_report_states_the_sandwich():
         assert rep.upper_bounds[0] == BoundEntry("twice_independence", 2 * alpha)
 
 
-def test_dominance_threshold_out_of_reach():
-    # for k=6 the crossover lies beyond the 10k+64 scan cap
-    with pytest.raises(SearchFailure):
-        alpha_dominance_threshold(6)
+def test_dominance_thresholds_k2_to_k10():
+    # the test's own scan, over Pascal rows truncated to the columns it reads
+    # and checked against pascal_binom where the rows end
+    rows = [[1] + [0] * 10]
+    while len(rows) <= 826:
+        prev = rows[-1]
+        rows.append([1] + [prev[j] + prev[j - 1] for j in range(1, 11)])
+    assert rows[826][10] == pascal_binom(826, 10)
+
+    def first_dominant(k):
+        for n in range(2 * k, len(rows)):
+            alpha = rows[n - 1][k - 1]
+            edge_case = 2 + rows[n][k] - 2 * rows[n - k][k] + rows[n - 2 * k][k]
+            if alpha >= edge_case:
+                return n
+        raise AssertionError(f"no threshold for k={k} below {len(rows)}")
+
+    expected = [7, 17, 43, 88, 160, 263, 405, 590, 826]
+    assert [first_dominant(k) for k in range(2, 11)] == expected
+    assert [alpha_dominance_threshold(k) for k in range(2, 11)] == expected
+
+
+def test_dominance_threshold_k30():
+    assert alpha_dominance_threshold(30) == 25_278
 
 
 def test_katona_large_r():

@@ -17,6 +17,7 @@ from kneserdiss import (
     graph_from_edges,
     max_substrings,
     odd_expansion_check,
+    odd_hall_matching,
     solve,
     substrings_in_arrangement,
 )
@@ -150,10 +151,29 @@ def test_odd_expansion_exhaustive_o2():
 def test_odd_expansion_contract_errors():
     g = build_kneser(5, 2)
     outside = next(iter(bits(g.full_mask & ~g.center_mask(5))))
-    with pytest.raises(DomainError):
-        odd_expansion_check(2, [outside], g)
-    with pytest.raises(DomainError):
-        odd_expansion_check(2, [], g)
+    for check in (odd_expansion_check, odd_hall_matching):
+        with pytest.raises(DomainError):
+            check(2, [outside], g)
+        with pytest.raises(DomainError):
+            check(2, [], g)
+        with pytest.raises(DomainError):
+            check(3, [0], g)
+
+
+def test_odd_hall_matching_saturates_o2():
+    # every L in the center of 5 is matched along edges into the vertices
+    # avoiding 5, one partner each
+    g = build_kneser(5, 2)
+    center = list(bits(g.center_mask(5)))
+    for size in range(1, len(center) + 1):
+        for sub in combinations(center, size):
+            res = odd_hall_matching(2, sub, g)
+            assert res.saturated
+            assert sorted(x for x, _ in res.matching) == sorted(sub)
+            ys = [y for _, y in res.matching]
+            assert len(set(ys)) == len(ys)
+            for x, y in res.matching:
+                assert g.has_edge(x, y) and 5 not in g.vertices[y].elements
 
 
 def test_arrangement_normalization():

@@ -226,13 +226,17 @@ def test_verify_non_integer_dimacs_exit_2(petersen_files, capsys, tmp_path):
 
 
 def test_verify_dimacs_past_vertex_cap_exit_2(petersen_files, capsys, tmp_path, monkeypatch):
+    def no_allocation(order, edges):
+        raise AssertionError(f"allocated {order} rows past the adjacency cap")
+
+    # a header whose vertex count alone passes the adjacency cap
     _, cert = petersen_files
     graph = tmp_path / "big.dimacs"
-    graph.write_text("p edge 11 0\n")
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
+    graph.write_text("p edge 131073 0\n")
+    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
     code, _, err = run(capsys, "verify", str(graph), str(cert))
     assert code == 2
-    assert "vertex cap" in err and "Traceback" not in err
+    assert "adjacency" in err and "Traceback" not in err
 
 
 def test_verify_dimacs_past_adjacency_cap_exit_2(petersen_files, capsys, tmp_path, monkeypatch):
@@ -262,7 +266,7 @@ def test_gen_past_adjacency_cap_exit_2(capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated vertices past the adjacency cap")
 
-    # K(30,6) passes the vertex cap but its rows would need about 44 GB
+    # the rows of K(30,6) would need about 44 GB
     monkeypatch.setattr(kneser_module, "enumerate_k_subsets", no_enumeration)
     code, out, err = run(capsys, "gen", "30", "6")
     assert code == 2 and out == ""

@@ -2,7 +2,7 @@
 
 Parsers may only raise DomainError or CapacityError, and the CLI may only
 exit with 0, 1, 2 or 3.  The examples are derandomized, so a run is
-repeatable.  The vertex cap is lowered for the whole module, every search
+repeatable.  The adjacency cap is lowered for the whole module, every search
 gets a node budget, at most two workers are ever drawn (larger counts are
 ones the budget refuses before forking), and reproduce always names its rows.
 """
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kneserdiss.graphs as graphs_module
 from kneserdiss import CapacityError, Certificate, DomainError, KneserGraph, build_kneser
 from kneserdiss.certificates import certificate_from_json
 from kneserdiss.cli import ALL_GROUPS, main
@@ -33,9 +34,10 @@ def fuzz(examples):
 
 
 @pytest.fixture(autouse=True, scope="module")
-def low_vertex_cap():
+def low_adjacency_cap():
+    # VERTEX_CAP * ceil(VERTEX_CAP / 8) bytes: graphs of at most 300 vertices
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("KNESER_VERTEX_CAP", str(VERTEX_CAP))
+        mp.setattr(graphs_module, "MAX_ADJACENCY_BYTES", VERTEX_CAP * ((VERTEX_CAP + 7) // 8))
         yield
 
 

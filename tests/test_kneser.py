@@ -58,20 +58,27 @@ def test_enumerate_order_and_endpoints():
 
 
 def test_enumerate_capacity_errors(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated subsets past the adjacency cap")
+
     with pytest.raises(CapacityError):
         enumerate_k_subsets(65, 2)
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "1000")
-    with pytest.raises(CapacityError):
-        enumerate_k_subsets(40, 20)
     with pytest.raises(DomainError):
         enumerate_k_subsets(3, 5)
+    # C(24,6) = 134,596 subsets are more vertices than the adjacency rows of
+    # one graph may hold, and are refused before any is listed
+    monkeypatch.setattr(kneser_module, "combinations", no_enumeration)
+    for n, k in ((24, 6), (40, 20)):
+        with pytest.raises(CapacityError, match="adjacency"):
+            enumerate_k_subsets(n, k)
 
 
-def test_vertex_cap_env_override(monkeypatch):
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "5")
-    with pytest.raises(CapacityError):
+def test_enumerate_byte_cap_boundary(monkeypatch):
+    # C(4,2) = 6 vertices take 6 * 1 bytes of adjacency rows
+    monkeypatch.setattr(graphs_module, "MAX_ADJACENCY_BYTES", 5)
+    with pytest.raises(CapacityError, match="adjacency"):
         enumerate_k_subsets(4, 2)
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "6")
+    monkeypatch.setattr(graphs_module, "MAX_ADJACENCY_BYTES", 6)
     assert len(enumerate_k_subsets(4, 2)) == 6
 
 
@@ -85,28 +92,24 @@ def test_adjacency_byte_cap_before_enumeration(monkeypatch):
 
     monkeypatch.setattr(kneser_module, "enumerate_k_subsets", no_enumeration)
     monkeypatch.setattr(kneser_module, "combinations", no_enumeration)
-    # K(30,6) has 593,775 vertices, under the vertex cap, and ~44 GB of rows
-    for n, k in ((30, 6), (40, 20)):
-        with pytest.raises(CapacityError, match="adjacency"):
-            build_kneser(n, k)
-    # a vertex cap past C(40,20) does not lift the byte cap
-    monkeypatch.setenv("KNESER_VERTEX_CAP", str(10**12))
+    # K(30,6) has 593,775 vertices and ~44 GB of rows
     for n, k in ((30, 6), (40, 20)):
         with pytest.raises(CapacityError, match="adjacency"):
             build_kneser(n, k)
 
 
-def test_build_vertex_cap_before_enumeration(monkeypatch):
+def test_build_byte_cap_boundary_before_enumeration(monkeypatch):
     def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated vertices past the vertex cap")
+        raise AssertionError("enumerated vertices past the adjacency cap")
 
-    # K(10,4) has 210 vertices; every pass of the build goes through combinations
+    # K(10,4) has 210 vertices, so 210 * 27 bytes of rows; every pass of the
+    # build goes through combinations
     with monkeypatch.context() as patch:
         patch.setattr(kneser_module, "combinations", no_enumeration)
-        patch.setenv("KNESER_VERTEX_CAP", "209")
-        with pytest.raises(CapacityError, match="vertex cap 209"):
+        patch.setattr(graphs_module, "MAX_ADJACENCY_BYTES", 210 * 27 - 1)
+        with pytest.raises(CapacityError, match="5670 bytes"):
             build_kneser(10, 4)
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "210")
+    monkeypatch.setattr(graphs_module, "MAX_ADJACENCY_BYTES", 210 * 27)
     assert build_kneser(10, 4).order == 210
 
 
@@ -358,22 +361,6 @@ def test_dimacs_rejects_garbage():
         read_dimacs("p edge 2 5\ne 1 2\n")
 
 
-def test_dimacs_vertex_cap(monkeypatch):
-    def no_allocation(order, edges):
-        raise AssertionError(f"allocated {order} rows past the cap")
-
-    # the header alone must be refused, before any row is allocated
-    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
-    with pytest.raises(CapacityError):
-        read_dimacs("p edge 1000000000 0\n")
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
-    with pytest.raises(CapacityError):
-        read_dimacs("p edge 11 0\n")
-    monkeypatch.undo()
-    monkeypatch.setenv("KNESER_VERTEX_CAP", "10")
-    assert read_dimacs("p edge 10 0\n").order == 10
-
-
 def test_dimacs_adjacency_byte_cap(monkeypatch):
     class Allocated(Exception):
         pass
@@ -382,14 +369,26 @@ def test_dimacs_adjacency_byte_cap(monkeypatch):
         raise Allocated(order)
 
     # V * ceil(V/8) bytes are checked at the header, before any row exists:
-    # 2,000,000 vertices pass the vertex cap but would need 500 GB of rows
+    # 2,000,000 vertices would need 500 GB of rows
     monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
     edges = "".join(f"e {i} 2000000\n" for i in range(1, 201))
     with pytest.raises(CapacityError, match="adjacency"):
         read_dimacs("p edge 2000000 200\n" + edges)
-    with pytest.raises(CapacityError, match="adjacency"):
-        read_dimacs("p edge 131073 0\n")
-    # 131,072 vertices take exactly the cap
+
+
+def test_dimacs_vertex_cap(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def no_allocation(order, edges):
+        raise Allocated(order)
+
+    # a vertex count alone, with no edges, is refused at the header when
+    # its rows would pass the adjacency cap; 131,072 vertices take exactly the cap
+    monkeypatch.setattr(graphs_module, "graph_from_edges", no_allocation)
+    for order in (10**9, 131073):
+        with pytest.raises(CapacityError, match="adjacency"):
+            read_dimacs(f"p edge {order} 0\n")
     with pytest.raises(Allocated):
         read_dimacs("p edge 131072 0\n")
 

@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from kneserdiss.graphs import MAX_ADJACENCY_BYTES
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -47,3 +49,14 @@ def test_readme_library_example():
         "rep.known_exact": (21, "triples_equal_independence"),
         "kd.psi3(g)": (4, True),
     }
+
+
+def test_readme_adjacency_cap():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert "more than 2 GiB" in text and "above 131,072 vertices" in text
+    assert MAX_ADJACENCY_BYTES == 2 << 30
+
+    def rows(order):
+        return order * ((order + 7) // 8)
+
+    assert rows(131_072) <= MAX_ADJACENCY_BYTES < rows(131_073)

@@ -1,5 +1,9 @@
+import multiprocessing
 import operator
+import os
 import random
+import subprocess
+import sys
 from functools import partial, reduce
 from itertools import combinations, islice
 
@@ -461,13 +465,24 @@ def test_pool_split_prunes_against_the_seed(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("started a pool with nothing to split")
 
-    monkeypatch.setattr(solver_module.mp, "get_context", no_pool)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     for (n, k), d in (((6, 3), 2), ((7, 3), 4)):
         g = build_kneser(n, k)
         serial = solve(g, d)
         res = solve(g, d, SearchBudget(thread_count=2))
         assert serial.nodes_explored == res.nodes_explored == 1, (n, k, d)
         assert res.optimal and res.witness == serial.witness == g.full_mask, (n, k, d)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only the pool needs it, so a one-worker solve never loads it either
+    src = os.path.dirname(os.path.dirname(solver_module.__file__))
+    code = (
+        "import sys, kneserdiss.cli; kneserdiss.solve(kneserdiss.build_kneser(7, 3), 1); "
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_edge_orbit_masks_are_orbits():
