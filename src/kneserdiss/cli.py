@@ -12,13 +12,13 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from . import bounds, certify, solver
 from .certificates import certificate_from_json
 from .errors import CapacityError, DomainError, SearchFailure
 from .graphs import bits, read_dimacs, write_dimacs
-from .kneser import (build_kneser, certificate_mask, enumerate_k_subsets,
-                     kneser_from_json, kneser_to_json)
+from .kneser import build_kneser, certificate_mask, kneser_from_json, kneser_to_json
 
 
 def _parse_duration(text: str) -> float:
@@ -61,12 +61,28 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     budget = _budget_from_args(args)
     result = solver.solve_kneser(args.n, args.k, args.max_degree, budget)
-    # the witness indexes the canonical enumeration; no second graph build
-    verts = enumerate_k_subsets(args.n, args.k)
     doc = result.to_json_dict()
-    doc["witness"] = [list(verts[v].elements) for v in bits(result.witness)]
+    doc["witness"] = _lex_subsets(args.n, args.k, result.witness)
     print(json.dumps(doc))
     return 0 if result.optimal else 3
+
+
+def _lex_subsets(n: int, k: int, ranks: int) -> list[list[int]]:
+    """Elements of the k-subsets of [n] whose lexicographic ranks (the
+    vertex order of K(n, k)) are the set bits of ``ranks``."""
+    out = []
+    for r in bits(ranks):
+        elements, x = [], 1
+        for rest in range(k - 1, -1, -1):
+            # the comb(n - x, rest) subsets that take x next all rank before
+            # those that skip it
+            while r >= (ahead := comb(n - x, rest)):
+                r -= ahead
+                x += 1
+            elements.append(x)
+            x += 1
+        out.append(elements)
+    return out
 
 
 def cmd_bound(args) -> int:
@@ -211,7 +227,7 @@ ALL_GROUPS = ("k2", "k3", "odd", "threshold", "katona", "hall", "doublecount")
 
 def cmd_reproduce(args) -> int:
     budget = _budget_from_args(args)
-    if args.rows:
+    if args.rows is not None:
         groups = [g.strip() for g in args.rows.split(",")]
         unknown = [g for g in groups if g not in ALL_GROUPS]
         if unknown:

@@ -5,13 +5,17 @@ maximum degree at most d (d=0: independent set, d=1: dissociation set).
 A search state is a tuple of vertex bitsets; every size and degree is a
 popcount.  Both engines keep every undecided (free) vertex able to join:
 it has at most d chosen neighbours and none of them already has d.  The
-d=1 engine's state is (free, unsat, seen, cap, chosen), where ``unsat``
-holds the chosen vertices without a chosen neighbour and ``seen`` covers
-the free vertices next to one, so each free vertex has at most one chosen
-neighbour.  Its counting bound and exact endgame closure both fall out of
-that.  ``cap`` is an upper bound on every free vertex's free-degree, the
-parent's maximum, so the branch scan stops at the first vertex that
-reaches it.  The general-d engine's state is (free, chosen).
+d=1 engine's state is (free, unsat, seen, counted, layers, chosen), where
+``unsat`` holds the chosen vertices without a chosen neighbour and
+``seen`` covers the free vertices next to one, so each free vertex has at
+most one chosen neighbour.  Its counting bound and exact endgame closure
+both fall out of that.  ``layers`` are bit-sliced counters: bit i of a
+vertex's degree into ``counted``, a superset of free, is that vertex's bit
+in layer i.  A node the bound does not prune brings them up to date with
+its free set, subtracting the rows of the vertices that left or
+recounting when fewer remain than left, and then narrows free from the
+top layer down to the vertices of maximum free-degree; the branch vertex
+is the lowest of them.  The general-d engine's state is (free, chosen).
 
 The general-d engine bounds each node by degree counting inside
 R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
@@ -30,15 +34,15 @@ seeded with a set of at least alpha vertices, so it is as large as any
 independent set; every better set holds an edge, and since K(n, k) is
 edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
 largest set holding xy).  At d=1 the seed is the best known construction
-and the start is (M, 0, 0, |V|, x | y), M being the common non-neighbours
-of x and y: where the d=1 engine gets by including x and then y, but with
-the loosest cap, so diss = max(alpha, 2 + diss(K[M])), and the search
-stops at the bound report's upper end.  At d >= 2 the seed is the larger
-of a center (alpha vertices, Erdos-Ko-Rado) and the greedy set, and the
-start is (V - {x, y}, {x, y}): x and y have one chosen neighbour each,
-fewer than d, and every other vertex at most two, so no vertex leaves the
-free set; that is where the general-d engine gets by including x and then
-y.  At d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
+and the start is (M, 0, 0, M, counters on M, x | y), M being the common
+non-neighbours of x and y: where the d=1 engine gets by including x and
+then y, so diss = max(alpha, 2 + diss(K[M])), and the search stops at the
+bound report's upper end.  At d >= 2 the seed is the larger of a center
+(alpha vertices, Erdos-Ko-Rado) and the greedy set, and the start is
+(V - {x, y}, {x, y}): x and y have one chosen neighbour each, fewer than
+d, and every other vertex at most two, so no vertex leaves the free set;
+that is where the general-d engine gets by including x and then y.  At
+d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
 
 The edge's stabilizer (the permutations of {1..n} that fix x, y and the
 rest setwise, or swap x and y) maps the start to itself, and the orbit of
@@ -113,41 +117,81 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 engine (free, unsat, seen, cap, chosen)
+# d = 1 engine (free, unsat, seen, counted, layers, chosen)
 # ---------------------------------------------------------------------------
 
 
-def _branch_vertex(adj, free, cap):
-    """Undecided vertex of maximum undecided-degree, lowest index on ties.
-
-    ``cap`` bounds every undecided-degree (the parent's maximum: free sets
-    only shrink), so the scan stops at the first vertex that reaches it.
-    """
-    best_v, best_d = -1, -1
+def _free_degree_layers(adj, free):
+    """Bit-sliced free-degrees: bit i of free vertex v's free-degree is bit v
+    of layer i, with as many layers as the largest free-degree needs."""
+    by_degree = {}
     m = free
     while m:
         lsb = m & -m
-        v = lsb.bit_length() - 1
-        d = (adj[v] & free).bit_count()
-        if d > best_d:
-            if d >= cap:
-                return v, d
-            best_d, best_v = d, v
+        d = (adj[lsb.bit_length() - 1] & free).bit_count()
+        by_degree[d] = by_degree.get(d, 0) | lsb
         m ^= lsb
-    return best_v, best_d
+    layers = [0] * max(by_degree, default=0).bit_length()
+    for d, vs in by_degree.items():
+        for i in range(d.bit_length()):
+            if d >> i & 1:
+                layers[i] |= vs
+    return tuple(layers)
+
+
+def _deg1_branch(adj, free, counted, layers):
+    """(v, layers): v is the free vertex of maximum free-degree, lowest index
+    on ties, or -1 once no free vertex has a free neighbour, and the layers
+    count every free vertex's free-degree.
+
+    The given ``layers`` count each vertex of ``counted``, a superset of
+    ``free``, on ``counted``.  They catch up by subtracting the row of every
+    vertex that left, or by a recount when fewer vertices remain than left.
+    """
+    gone = counted & ~free
+    if free.bit_count() < gone.bit_count():
+        layers = _free_degree_layers(adj, free)
+    elif gone:
+        layers = list(layers)
+        while gone:
+            lsb = gone & -gone
+            gone ^= lsb
+            # one borrow chain takes 1 off each free neighbour; rows ANDed
+            # with free never borrow at a vertex outside it
+            b = adj[lsb.bit_length() - 1] & free
+            i = 0
+            while b:
+                layers[i] ^= b
+                b &= layers[i]  # borrow where the bit was clear
+                i += 1
+        layers = tuple(layers)
+    # narrowing free from the top layer down leaves the maximum counts
+    top = free
+    for c in reversed(layers):
+        t = top & c
+        if t:
+            top = t
+    v = (top & -top).bit_length() - 1
+    if v < 0 or not adj[v] & free:
+        return -1, layers
+    return v, layers
 
 
 def _deg1_children(adj, state, incumbent):
     """Include/exclude children for the branch vertex, [] when the counting
-    bound prunes, or None at the endgame."""
-    free, unsat, seen, cap, chosen = state
+    bound prunes, or None at the endgame.
+
+    The counters catch up only here, past the bound, and the children
+    inherit them as counted on this node's free set.
+    """
+    free, unsat, seen, counted, layers, chosen = state
     # undecided vertices off ``seen`` may all join; those on it, at most
     # one per unsaturated vertex
     sc = (seen & free).bit_count()
     if chosen.bit_count() + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
         return []
-    v, bd = _branch_vertex(adj, free, cap)
-    if bd <= 0:
+    v, layers = _deg1_branch(adj, free, counted, layers)
+    if v < 0:
         # no undecided-undecided edges left: the closure is exact
         return None
     vbit = 1 << v
@@ -158,19 +202,19 @@ def _deg1_children(adj, state, incumbent):
         # already touch an unsaturated vertex would reach two and go out
         nbf = adj[v] & free
         nfree = free & ~vbit & ~(nbf & seen)
-        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), bd, chosen | vbit))
+        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), free, layers, chosen | vbit))
     elif ku.bit_count() == 1:
         # v pairs up with its unique unsaturated neighbor; both saturate
         u = ku.bit_length() - 1
         nfree = free & ~vbit & ~adj[v] & ~adj[u]
-        out.append((nfree, unsat & ~ku, seen & nfree, bd, chosen | vbit))
-    out.append((free & ~vbit, unsat, seen, bd, chosen))
+        out.append((nfree, unsat & ~ku, seen & nfree, free, layers, chosen | vbit))
+    out.append((free & ~vbit, unsat, seen, free, layers, chosen))
     return out
 
 
 def _deg1_closure(adj, state):
     """Witness of the exact optimum once no undecided-undecided edges remain."""
-    free, unsat, seen, _, chosen = state
+    free, unsat, seen, *_, chosen = state
     wit = chosen | (free & ~seen)
     m = unsat
     while m:
@@ -274,7 +318,8 @@ def _engine(adj, d):
     """
     full = (1 << len(adj)) - 1
     if d == 1:
-        return (full, 0, 0, len(adj), 0), partial(_deg1_children, adj), partial(_deg1_closure, adj)
+        root = (full, 0, 0, full, _free_degree_layers(adj, full), 0)
+        return root, partial(_deg1_children, adj), partial(_deg1_closure, adj)
     return (full, 0), partial(_degd_children, adj, d), _degd_closure
 
 
@@ -530,7 +575,8 @@ def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> li
     edge = 1 | 1 << y
     # where the engine gets by including x and then y (module docstring)
     if d == 1:
-        state = (edge_nonneighbors(g, 0, y), 0, 0, g.order, edge)
+        free = edge_nonneighbors(g, 0, y)
+        state = (free, 0, 0, free, _free_degree_layers(g.adj, free), edge)
     else:
         state = (g.full_mask & ~edge, edge)
     xs, ys = _edge_type_layers(g)

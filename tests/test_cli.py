@@ -9,6 +9,7 @@ import kneserdiss.kneser as kneser_module
 import kneserdiss.solver as solver_module
 from kneserdiss import SolveResult, build_kneser, kneser_from_json
 from kneserdiss.cli import main
+from kneserdiss.graphs import bits
 
 PROP_SET = [[1, 2], [3, 4], [1, 3], [1, 4], [2, 3], [2, 4]]
 
@@ -137,6 +138,31 @@ def test_solve_output_stable_modulo_timing(capsys):
     a, b = json.loads(first), json.loads(second)
     a.pop("millis"), b.pop("millis")
     assert a == b
+
+
+def test_solve_witness_is_unranked_like_the_enumeration(capsys, monkeypatch):
+    # the witness's vertices are unranked one by one; the JSON is byte for
+    # byte what labelling them through the whole enumeration gives
+    for n, k in ((4, 1), (6, 3), (9, 4), (11, 2)):
+        everything = [list(v.elements) for v in kneser_module.enumerate_k_subsets(n, k)]
+        assert cli_module._lex_subsets(n, k, (1 << len(everything)) - 1) == everything
+        assert cli_module._lex_subsets(n, k, 0) == []
+    real = solver_module.solve_kneser
+    results = []
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver_module, "solve_kneser", recording)
+    for argv in (("8", "3"), ("9", "4", "--max-nodes", "5"), ("16", "5", "--max-nodes", "1")):
+        code, out, _ = run(capsys, "solve", *argv)
+        res = results[-1]
+        verts = kneser_module.enumerate_k_subsets(int(argv[0]), int(argv[1]))
+        doc = res.to_json_dict()
+        doc["witness"] = [list(verts[v].elements) for v in bits(res.witness)]
+        assert out == json.dumps(doc) + "\n", argv
+        assert code == (0 if res.optimal else 3), argv
 
 
 @pytest.fixture
@@ -288,7 +314,7 @@ def test_reproduce_k2_rows_only(capsys):
 
 def test_reproduce_unknown_group(capsys):
     # each unknown name is quoted, so an empty one still shows
-    for rows, shown in (("nonsense", "'nonsense'"), (",k2", "''"),
+    for rows, shown in (("nonsense", "'nonsense'"), (",k2", "''"), ("", "''"),
                         ("k2, nonsense ,", "'nonsense', ''")):
         code, _, err = run(capsys, "reproduce", "--rows", rows)
         assert code == 2, rows

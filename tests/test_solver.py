@@ -338,6 +338,11 @@ def edge_types(g):
             for v in g.vertices]
 
 
+def engine_view(state):
+    """A state's search slots: the d=1 engine's counters are left out."""
+    return state if len(state) == 2 else state[:3] + state[-1:]
+
+
 def test_edge_start_is_the_engine_path(monkeypatch):
     # at every d >= 1 the first root is the include child the engine takes
     # first from the edge start, where it gets by including x and then y;
@@ -345,6 +350,7 @@ def test_edge_start_is_the_engine_path(monkeypatch):
     # earlier roots' vertices are out of the free set
     recorded = {}
     real_solve = solver_module._solve
+    real_branch = solver_module._deg1_branch
 
     def recording(g, d, budget, seed_witness, roots=None, *rest):
         recorded[d] = roots
@@ -359,16 +365,17 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         edge = 1 | 1 << y
         script = iter((0, y))
 
-        def scripted(adj, free, cap):
-            # the scripted x and y need not be maximum, so hand the children
-            # a cap no free-degree can pass: the order
-            return next(script), len(adj)
+        def scripted(adj, free, counted, layers):
+            # the counters catch up as usual; only the vertex is scripted
+            return next(script), real_branch(adj, free, counted, layers)[1]
 
         with monkeypatch.context() as patch:
-            patch.setattr(solver_module, "_branch_vertex", scripted)
+            patch.setattr(solver_module, "_deg1_branch", scripted)
             root, children_of, _ = solver_module._engine(g.adj, 1)
             start = children_of(children_of(root, -1)[0], -1)[0]
-        assert start == (edge_nonneighbors(g, 0, y), 0, 0, g.order, edge), (n, k)
+        free = edge_nonneighbors(g, 0, y)
+        assert engine_view(start) == (free, 0, 0, edge), (n, k)
+        assert_counts_on(g.adj, free, start[3], start[4])
         types = edge_types(g)
         for d in (1, 2, 3):
             if d >= 2:
@@ -378,17 +385,19 @@ def test_edge_start_is_the_engine_path(monkeypatch):
                 assert_free_vertices_can_join(g.adj, d, start)
             _, children_of, _ = solver_module._engine(g.adj, d)
             roots = recorded[d](children_of, -1)
-            assert roots[0] == children_of(start, -1)[0], (n, k, d)
+            assert engine_view(roots[0]) == engine_view(children_of(start, -1)[0]), (n, k, d)
             state, branched = start, set()
             for r in roots[:-1]:
-                v, _ = solver_module._branch_vertex(g.adj, state[0], g.order)
-                assert r[-1] == edge | 1 << v and r == children_of(state, -1)[0], (n, k, d)
+                v, _ = full_scan_branch_vertex(g.adj, state[0])
+                assert r[-1] == edge | 1 << v, (n, k, d)
+                assert engine_view(r) == engine_view(children_of(state, -1)[0]), (n, k, d)
                 assert types[v] not in branched, (n, k, d)
                 branched.add(types[v])
                 out = sum(1 << u for u in bits(state[0]) if types[u] == types[v])
                 state = (state[0] & ~out,) + state[1:]
             # the last root is the state where the engine's endgame applies
-            assert roots[-1] == state and children_of(state, -1) is None, (n, k, d)
+            assert engine_view(roots[-1]) == engine_view(state), (n, k, d)
+            assert children_of(state, -1) is None, (n, k, d)
             # an incumbent cuts the list short, never reorders it
             for incumbent in range(g.order + 1):
                 pruned = recorded[d](children_of, incumbent)
@@ -404,32 +413,68 @@ def full_scan_branch_vertex(adj, free):
     return v, (adj[v] & free).bit_count()
 
 
-def test_capped_branch_scan_is_exact(monkeypatch):
-    # at every node the d=1 engine visits, the state's cap bounds every
-    # free-degree, and the scan that stops at the cap picks the vertex a
-    # full scan picks
-    real = solver_module._deg1_children
+def assert_counts_on(adj, free, counted, layers):
+    # the bit-sliced counters give each free vertex its degree into counted
+    for v in bits(free):
+        count = sum(1 << i for i, layer in enumerate(layers) if layer >> v & 1)
+        assert count == (adj[v] & counted).bit_count(), v
+
+
+def star(leaves):
+    return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def clique(order):
+    return graph_from_edges(order, list(combinations(range(order), 2)))
+
+
+def test_free_degree_counters_are_exact(monkeypatch):
+    # at every node the d=1 engine expands, the counters it is handed count
+    # each free vertex's degree into the counted set, after catching up they
+    # are the popcounts on free, and the branch vertex is the full scan's
+    real = solver_module._deg1_branch
     calls = []
 
-    def checked(adj, state, incumbent):
-        free, cap = state[0], state[3]
-        expect = full_scan_branch_vertex(adj, free)
-        assert cap >= expect[1]
-        assert solver_module._branch_vertex(adj, free, cap) == expect
-        calls.append(state)
-        return real(adj, state, incumbent)
+    def checked(adj, free, counted, layers):
+        assert free & ~counted == 0
+        assert len(layers) <= max(a.bit_count() for a in adj).bit_length()
+        assert_counts_on(adj, free, counted, layers)
+        v, out = real(adj, free, counted, layers)
+        assert_counts_on(adj, free, free, out)
+        expect, degree = full_scan_branch_vertex(adj, free)
+        assert v == (expect if degree > 0 else -1)
+        gone = (counted & ~free).bit_count()
+        calls.append("recount" if gone > free.bit_count() else "subtract" if gone else "none")
+        return v, out
 
-    monkeypatch.setattr(solver_module, "_deg1_children", checked)
+    monkeypatch.setattr(solver_module, "_deg1_branch", checked)
+    # the star's root needs 9 layers for the centre's 300 leaves; the
+    # cliques' maximum degrees are 2^L - 1 and 2^L, and at 2^L the first
+    # catch-up borrows through every layer; the edgeless graph and a single
+    # vertex have no layer at all
+    assert len(solver_module._engine(star(300).adj, 1)[0][4]) == 9
+    small = [star(300), clique(8), clique(9), clique(16), clique(17),
+             graph_from_edges(5, []), graph_from_edges(1, [])]
+    for g in small:
+        # every node, none pruned
+        root, children_of, _ = solver_module._engine(g.adj, 1)
+        stack = [root]
+        while stack:
+            kids = children_of(stack.pop(), -1)
+            stack.extend(kids or ())
+    ways = set(calls)
     rng = random.Random(23)
-    graphs = [build_kneser(7, 3), build_kneser(8, 3)] + [
+    graphs = [build_kneser(7, 3)] + [
         random_graph(rng.randint(12, 32), (0.1, 0.2, 0.3, 0.5)[i % 4], rng) for i in range(12)
     ]
     for g in graphs:
         calls.clear()
         res = solve(g, 1)
-        # every node the search counts went through the check
-        assert len(calls) == res.nodes_explored > 0, g.order
-    # solve_kneser's orbit roots start from a cap of the order
+        assert res.optimal and len(calls) > 0, g.order
+        ways.update(calls)
+    # both ways of catching up ran: subtracting rows and recounting
+    assert {"recount", "subtract"} <= ways
+    # solve_kneser's orbit roots start from counters on the edge start
     for n, k in ((8, 3), (9, 3), (10, 4)):
         calls.clear()
         solve_kneser(n, k, 1, SearchBudget(max_nodes=3000))
@@ -443,6 +488,15 @@ D1_TRAVERSALS = {
     "K(8,3)": (21, 46327, 0x1FFFFF),
     "K(9,3)": (28, 46689, 0xFFFFFFF),
     "G(40,0.2) seed 13": (16, 6925, 0x7086C215C6),
+    "G(60,0.1) seed 2": (30, 121561, 0x871260B3C9D39AF),
+}
+
+# solve_kneser at d=1, one worker: (size, nodes, witness, optimal),
+# recorded before the branch vertex came from bit-sliced counters
+D1_KNESER_TRAVERSALS = {
+    (8, 3, None): (21, 123, 0x1FFFFF, True),
+    (9, 3, None): (28, 35, 0xFFFFFFF, True),
+    (10, 4, 20_000): (84, 20_001, 0xFFFFFFFFFFFFFFFFFFFFF, False),
 }
 
 
@@ -452,11 +506,15 @@ def test_d1_traversals_match_recorded():
         "K(8,3)": build_kneser(8, 3),
         "K(9,3)": build_kneser(9, 3),
         "G(40,0.2) seed 13": random_graph(40, 0.2, random.Random(13)),
+        "G(60,0.1) seed 2": random_graph(60, 0.1, random.Random(2)),
     }
     for name, expect in D1_TRAVERSALS.items():
         res = solve(graphs[name], 1)
         assert res.optimal
         assert (res.best_size, res.nodes_explored, res.witness) == expect, name
+    for (n, k, max_nodes), expect in D1_KNESER_TRAVERSALS.items():
+        res = solve_kneser(n, k, 1, SearchBudget(max_nodes=max_nodes))
+        assert (res.best_size, res.nodes_explored, res.witness, res.optimal) == expect, (n, k)
 
 
 def test_pool_split_prunes_against_the_seed(monkeypatch):
