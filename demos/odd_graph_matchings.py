@@ -10,14 +10,19 @@ and by sampling for O_3.
 import random
 from itertools import combinations
 
-from kneserdiss import build_kneser, find_x_matching, odd_expansion_check, odd_hall_matching
+from kneserdiss import (
+    build_kneser,
+    find_x_matching,
+    odd_expansion_check,
+    odd_hall_matching,
+    odd_neighborhood,
+)
 from kneserdiss.graphs import bits
 
 for k in (2, 3):
     n = 2 * k + 1
     g = build_kneser(n, k)
     center = list(bits(g.center_mask(n)))
-    bottom = g.full_mask & ~g.center_mask(n)
     print(f"=== O_{k} = K({n},{k}): center has {len(center)} vertices ===")
 
     checked = 0
@@ -26,10 +31,7 @@ for k in (2, 3):
         for sub in combinations(center, size):
             assert odd_expansion_check(k, sub, g)
             checked += 1
-            nbrs = 0
-            for v in sub:
-                nbrs |= g.adj[v]
-            ratio = (nbrs & bottom).bit_count() / len(sub)
+            ratio = odd_neighborhood(k, sub, g)[2].bit_count() / len(sub)
             if worst is None or ratio < worst[0]:
                 worst = (ratio, size)
     print(f"expansion holds for all {checked} nonempty subsets; "

@@ -30,6 +30,7 @@ from .certify import (
     max_substrings,
     odd_expansion_check,
     odd_hall_matching,
+    odd_neighborhood,
     substrings_in_arrangement,
 )
 from .errors import CapacityError, DomainError, SearchFailure

@@ -235,7 +235,6 @@ class BoundEntry:
 class BoundReport:
     n: int
     k: int
-    r: int
     alpha: int
     lower_bounds: tuple[BoundEntry, ...]
     upper_bounds: tuple[BoundEntry, ...]
@@ -304,7 +303,6 @@ def report(n: int, k: int) -> BoundReport:
     return BoundReport(
         n=n,
         k=k,
-        r=n - 2 * k,
         alpha=alpha,
         lower_bounds=tuple(lower),
         upper_bounds=tuple(upper),

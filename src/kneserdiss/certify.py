@@ -139,7 +139,7 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
     return MatchingResult(violator=frozenset(w))
 
 
-def _odd_neighborhood(k: int, subset, g: KneserGraph | None) -> tuple[KneserGraph, int, int]:
+def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[KneserGraph, int, int]:
     """The odd graph K(2k+1, k), L and N(L) n D, the last two as bitsets.
 
     L must be a nonempty subset of the center of element 2k+1; D is the set
@@ -170,7 +170,7 @@ def _odd_neighborhood(k: int, subset, g: KneserGraph | None) -> tuple[KneserGrap
 
 def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
     """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph K(2k+1, k)."""
-    _, lmask, nbhd = _odd_neighborhood(k, subset, g)
+    _, lmask, nbhd = odd_neighborhood(k, subset, g)
     return k * nbhd.bit_count() >= (k + 1) * lmask.bit_count()
 
 
@@ -180,7 +180,7 @@ def odd_hall_matching(k: int, subset, g: KneserGraph | None = None) -> MatchingR
     This is the bipartite graph behind diss(K(2k+1, k)) = C(2k, k), with L
     and D as in odd_expansion_check; vertices are graph indices.
     """
-    g, lmask, nbhd = _odd_neighborhood(k, subset, g)
+    g, lmask, nbhd = odd_neighborhood(k, subset, g)
     edges = [(u, v) for u in bits(lmask) for v in bits(g.adj[u] & nbhd)]
     return find_x_matching(bits(lmask), bits(nbhd), edges)
 

@@ -12,10 +12,10 @@ most one chosen neighbour.  Its counting bound and exact endgame closure
 both fall out of that.  ``layers`` are bit-sliced counters: bit i of a
 vertex's degree into ``counted``, a superset of free, is that vertex's bit
 in layer i.  A node the bound does not prune brings them up to date with
-its free set, subtracting the rows of the vertices that left or
-recounting when fewer remain than left, and then narrows free from the
-top layer down to the vertices of maximum free-degree; the branch vertex
-is the lowest of them.  The general-d engine's state is (free, chosen).
+its free set, subtracting the rows of the vertices that left, and then
+narrows free from the top layer down to the vertices of maximum
+free-degree; the branch vertex is the lowest of them.  The general-d
+engine's state is (free, chosen).
 
 The general-d engine bounds each node by degree counting inside
 R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
@@ -33,16 +33,15 @@ with the edge x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is
 seeded with a set of at least alpha vertices, so it is as large as any
 independent set; every better set holds an edge, and since K(n, k) is
 edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
-largest set holding xy).  At d=1 the seed is the best known construction
-and the start is (M, 0, 0, M, counters on M, x | y), M being the common
-non-neighbours of x and y: where the d=1 engine gets by including x and
-then y, so diss = max(alpha, 2 + diss(K[M])), and the search stops at the
-bound report's upper end.  At d >= 2 the seed is the larger of a center
-(alpha vertices, Erdos-Ko-Rado) and the greedy set, and the start is
-(V - {x, y}, {x, y}): x and y have one chosen neighbour each, fewer than
-d, and every other vertex at most two, so no vertex leaves the free set;
-that is where the general-d engine gets by including x and then y.  At
-d=0 the center meets the Erdos-Ko-Rado bound, so no search runs.
+largest set holding xy).  The start's free set is what the include rule
+leaves after including x and then y.  At d=1 that is M, the common
+non-neighbours of x and y, so diss = max(alpha, 2 + diss(K[M])); the seed
+is the best known construction, and the search stops at the bound
+report's upper end.  At d >= 2 no vertex leaves: x and y have one chosen
+neighbour each, fewer than d, and every other vertex at most two, so the
+free set is V - {x, y}; the seed is the larger of a center (alpha
+vertices, Erdos-Ko-Rado) and the greedy set.  At d=0 the center meets the
+Erdos-Ko-Rado bound, so no search runs.
 
 The edge's stabilizer (the permutations of {1..n} that fix x, y and the
 rest setwise, or swap x and y) maps the start to itself, and the orbit of
@@ -61,14 +60,12 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 
 from . import bounds
-from .certificates import Certificate
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits
-from .kneser import KneserGraph, build_kneser, edge_nonneighbors
+from .kneser import KneserGraph, build_kneser
 
 BRUTE_FORCE_CAP = 26
 MAX_THREADS = 64  # worker processes a budget may ask for
@@ -146,12 +143,10 @@ def _deg1_branch(adj, free, counted, layers):
 
     The given ``layers`` count each vertex of ``counted``, a superset of
     ``free``, on ``counted``.  They catch up by subtracting the row of every
-    vertex that left, or by a recount when fewer vertices remain than left.
+    vertex that left.
     """
     gone = counted & ~free
-    if free.bit_count() < gone.bit_count():
-        layers = _free_degree_layers(adj, free)
-    elif gone:
+    if gone:
         layers = list(layers)
         while gone:
             lsb = gone & -gone
@@ -308,6 +303,14 @@ def _degd_closure(state):
 # ---------------------------------------------------------------------------
 
 
+def _start_state(adj, d, free, chosen):
+    """The engine's state with ``free`` undecided and ``chosen`` in; every
+    free vertex can join and every chosen vertex has a chosen neighbour."""
+    if d == 1:
+        return free, 0, 0, free, _free_degree_layers(adj, free), chosen
+    return free, chosen
+
+
 def _engine(adj, d):
     """(root, children, closure) for d.
 
@@ -316,11 +319,10 @@ def _engine(adj, d):
     endgame, and the include-first children otherwise; ``closure(state)``
     gives the witness of the endgame's exact optimum.
     """
-    full = (1 << len(adj)) - 1
+    root = _start_state(adj, d, (1 << len(adj)) - 1, 0)
     if d == 1:
-        root = (full, 0, 0, full, _free_degree_layers(adj, full), 0)
         return root, partial(_deg1_children, adj), partial(_deg1_closure, adj)
-    return (full, 0), partial(_degd_children, adj, d), _degd_closure
+    return root, partial(_degd_children, adj, d), _degd_closure
 
 
 def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, shared, stop_at):
@@ -481,25 +483,14 @@ def solve(g: GenericGraph, d: int, budget: SearchBudget | None = None) -> SolveR
     return _solve(g, d, budget, None)
 
 
-def heuristic_lower(n: int, k: int) -> Certificate:
-    """Best known dissociation construction: a center, or all of [2k] choose k.
+def heuristic_lower(g: KneserGraph) -> int:
+    """Best known dissociation set of g as a vertex bitset: the center of
+    element 1, or all of [2k] choose k, whichever is larger (the center on
+    a tie).
 
     The second induces a perfect matching; for k=2 it equals the optimal
-    6-vertex set on the smallest instances.
+    6-vertex set on the smallest instances.  Both are read off the centers.
     """
-    if k < 2 or n < 2 * k:
-        raise DomainError(f"need n >= 2k >= 4, got n={n} k={k}")
-    if math.comb(n - 1, k - 1) >= math.comb(2 * k, k):
-        members = tuple(
-            (1,) + rest for rest in combinations(range(2, n + 1), k - 1)
-        )
-    else:
-        members = tuple(combinations(range(1, 2 * k + 1), k))
-    return Certificate(d=1, members=members, n=n, k=k)
-
-
-def _heuristic_mask(g: KneserGraph) -> int:
-    """heuristic_lower(g.n, g.k) as a vertex bitset, read off the centers."""
     n, k = g.n, g.k
     if math.comb(n - 1, k - 1) >= math.comb(2 * k, k):
         return g.center_mask(1)
@@ -538,7 +529,7 @@ def solve_kneser(
         bound_source = next(
             b.name for b in rep.upper_bounds if b.value == rep.best_upper
         )
-        seed_witness = _heuristic_mask(g)
+        seed_witness = heuristic_lower(g)
     elif d >= 2:
         # the seed needs alpha vertices, which a center has whatever the
         # vertex order; at d >= the degree the greedy set is the whole
@@ -570,15 +561,11 @@ def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> li
     then its branch vertex's orbit leaves the free set.  The endgame state
     is the last root, unless the bound prunes against ``incumbent`` first.
     """
-    k = g.k
+    k, adj = g.k, g.adj
     y = g.vertex_index(range(k + 1, 2 * k + 1))
-    edge = 1 | 1 << y
-    # where the engine gets by including x and then y (module docstring)
-    if d == 1:
-        free = edge_nonneighbors(g, 0, y)
-        state = (free, 0, 0, free, _free_degree_layers(g.adj, free), edge)
-    else:
-        state = (g.full_mask & ~edge, edge)
+    # the free set the include rule leaves after x and then y (module docstring)
+    free, edge = _degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, 0), y)
+    state = _start_state(adj, d, free, edge)
     xs, ys = _edge_type_layers(g)
     low = (1 << k) - 1
     roots = []

@@ -53,3 +53,21 @@ def test_selfcheck_api():
     doc = res.to_json_dict(g)
     assert doc["size"] == 6 and len(doc["witness"]) == 6
     assert g.vertices[0].elements == (1, 2)
+
+
+def test_d1_seed_goes_through_the_traced_name(monkeypatch):
+    # perfbench/tracing.py wraps kneserdiss.solver.heuristic_lower as the
+    # solver.seed span, so solve_kneser must seed d=1 through that name
+    import kneserdiss.solver as solver_module
+
+    calls = []
+    real = solver_module.heuristic_lower
+
+    def counted(g):
+        calls.append((g.n, g.k))
+        return real(g)
+
+    monkeypatch.setattr(solver_module, "heuristic_lower", counted)
+    assert solve_kneser(8, 3).best_size == 21
+    assert calls == [(8, 3)]
+    assert ("kneserdiss.solver", "heuristic_lower", "solver.seed") in _tracing_targets()

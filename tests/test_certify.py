@@ -18,6 +18,7 @@ from kneserdiss import (
     max_substrings,
     odd_expansion_check,
     odd_hall_matching,
+    odd_neighborhood,
     solve,
     substrings_in_arrangement,
 )
@@ -148,10 +149,27 @@ def test_odd_expansion_exhaustive_o2():
             assert odd_expansion_check(2, sub, g)
 
 
+def test_odd_neighborhood_is_the_union_of_rows_below():
+    # N(L) n D: the union of L's rows, less the center of 2k+1
+    for k in (2, 3):
+        g = build_kneser(2 * k + 1, k)
+        center = list(bits(g.center_mask(2 * k + 1)))
+        bottom = g.full_mask & ~g.center_mask(2 * k + 1)
+        for sub in (center[:1], center[:3], center[1::2], center):
+            nbrs = 0
+            for v in sub:
+                nbrs |= g.adj[v]
+            same, lmask, nbhd = odd_neighborhood(k, sub, g)
+            assert same is g and lmask == mask_of(sub) and nbhd == nbrs & bottom, (k, sub)
+    # without a graph it builds the odd graph
+    g, lmask, nbhd = odd_neighborhood(2, [(1, 5)])
+    assert (g.n, g.k) == (5, 2) and lmask.bit_count() == 1 and nbhd.bit_count() == 3
+
+
 def test_odd_expansion_contract_errors():
     g = build_kneser(5, 2)
     outside = next(iter(bits(g.full_mask & ~g.center_mask(5))))
-    for check in (odd_expansion_check, odd_hall_matching):
+    for check in (odd_expansion_check, odd_hall_matching, odd_neighborhood):
         with pytest.raises(DomainError):
             check(2, [outside], g)
         with pytest.raises(DomainError):

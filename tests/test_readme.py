@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 from kneserdiss.graphs import MAX_ADJACENCY_BYTES
+from kneserdiss.kneser import MAX_GROUND_SET
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -60,3 +61,9 @@ def test_readme_adjacency_cap():
         return order * ((order + 7) // 8)
 
     assert rows(131_072) <= MAX_ADJACENCY_BYTES < rows(131_073)
+
+
+def test_readme_ground_set_limit():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert "Two limits guard graph size" in text and "n > 64 is refused" in text
+    assert MAX_GROUND_SET == 64

@@ -136,7 +136,7 @@ def test_budget_exhaustion_returns_incumbent():
     assert not optimal
     # the search builds nothing above the seed, so the seed itself comes
     # back; the budget holds exactly on either side of a sync point
-    seed = certificate_mask(build_kneser(10, 4), heuristic_lower(10, 4))
+    seed = best_known_mask(build_kneser(10, 4))
     for max_nodes in (500, 2047, 2048, 2049, 4096):
         res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes))
         assert not res.optimal and res.nodes_explored == max_nodes + 1
@@ -215,27 +215,29 @@ def test_thread_count_size_invariance():
             assert len(sizes) == 1, (d, g.order)
 
 
+def best_known_mask(g):
+    """The best known construction built from its elements: the k-sets
+    holding 1, or all of [2k] choose k, whichever is larger (the first on a
+    tie)."""
+    n, k = g.n, g.k
+    center = [(1,) + rest for rest in combinations(range(2, n + 1), k - 1)]
+    block = list(combinations(range(1, 2 * k + 1), k))
+    members = center if len(center) >= len(block) else block
+    return certificate_mask(g, Certificate(d=1, members=tuple(members), n=n, k=k))
+
+
 def test_heuristic_lower():
-    assert len(heuristic_lower(5, 2)) == 6
-    assert len(heuristic_lower(9, 3)) == 28
-    assert len(heuristic_lower(7, 3)) == 20
-    for n, k in [(5, 2), (7, 3), (9, 3), (8, 3)]:
-        cert = heuristic_lower(n, k)
-        g = build_kneser(n, k)
-        mask = 0
-        for member in cert.members:
-            mask |= 1 << g.vertex_index(member)
-        assert check_max_degree(g, mask, 1)
-
-
-def test_heuristic_mask_is_heuristic_lower():
-    # solve_kneser reads the d=1 seed off the centers; both branches of the
-    # rule (a center, or [2k] choose k) must give heuristic_lower's set
+    sizes = {(5, 2): 6, (9, 3): 28, (7, 3): 20, (8, 3): 21}
+    for (n, k), size in sizes.items():
+        seed = heuristic_lower(build_kneser(n, k))
+        assert seed.bit_count() == size, (n, k)
+        assert check_max_degree(build_kneser(n, k), seed, 1), (n, k)
+    # heuristic_lower reads the seed off the centers; both branches of the
+    # rule (a center, or [2k] choose k) must give the set built from elements
     for k in range(2, 6):
         for n in range(2 * k, 2 * k + 6):
             g = build_kneser(n, k)
-            expect = certificate_mask(g, heuristic_lower(n, k))
-            assert solver_module._heuristic_mask(g) == expect, (n, k)
+            assert heuristic_lower(g) == best_known_mask(g), (n, k)
 
 
 # (size, optimal, nodes, witness, bound_source), one worker.  The sizes and
@@ -326,7 +328,7 @@ def test_bound_pinned_seed_is_checked(monkeypatch):
     assert solve_kneser(5, 2).nodes_explored == 0
     # the first six pairs give {1,5} two disjoint partners, {2,3} and {2,4}
     bad = Certificate(d=1, members=tuple(islice(combinations(range(1, 6), 2), 6)), n=5, k=2)
-    monkeypatch.setattr(solver_module, "_heuristic_mask", lambda g: certificate_mask(g, bad))
+    monkeypatch.setattr(solver_module, "heuristic_lower", lambda g: certificate_mask(g, bad))
     with pytest.raises(AssertionError, match="invalid witness"):
         solve_kneser(5, 2)
 
@@ -378,10 +380,12 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         assert_counts_on(g.adj, free, start[3], start[4])
         types = edge_types(g)
         for d in (1, 2, 3):
+            # the include rule leaves M at d=1 and V - {x, y} above
+            include = partial(solver_module._degd_include, g.adj, d)
+            left = include(*include(g.full_mask, 0, 0), y)
+            assert left == (free if d == 1 else g.full_mask & ~edge, edge), (n, k, d)
             if d >= 2:
-                include = partial(solver_module._degd_include, g.adj, d)
-                start = include(*include(g.full_mask, 0, 0), y)
-                assert start == (g.full_mask & ~edge, edge), (n, k, d)
+                start = left
                 assert_free_vertices_can_join(g.adj, d, start)
             _, children_of, _ = solver_module._engine(g.adj, d)
             roots = recorded[d](children_of, -1)
@@ -444,7 +448,7 @@ def test_free_degree_counters_are_exact(monkeypatch):
         expect, degree = full_scan_branch_vertex(adj, free)
         assert v == (expect if degree > 0 else -1)
         gone = (counted & ~free).bit_count()
-        calls.append("recount" if gone > free.bit_count() else "subtract" if gone else "none")
+        calls.append("most left" if gone > free.bit_count() else "some left" if gone else "none")
         return v, out
 
     monkeypatch.setattr(solver_module, "_deg1_branch", checked)
@@ -472,8 +476,9 @@ def test_free_degree_counters_are_exact(monkeypatch):
         res = solve(g, 1)
         assert res.optimal and len(calls) > 0, g.order
         ways.update(calls)
-    # both ways of catching up ran: subtracting rows and recounting
-    assert {"recount", "subtract"} <= ways
+    # catch-ups ran, and stayed exact, both where more vertices left than
+    # remain and where fewer did
+    assert {"most left", "some left"} <= ways
     # solve_kneser's orbit roots start from counters on the edge start
     for n, k in ((8, 3), (9, 3), (10, 4)):
         calls.clear()
@@ -577,37 +582,50 @@ def test_edge_orbit_masks_are_orbits():
 
 
 def test_start_states_wait_for_a_search(monkeypatch):
-    # when the seed already meets the bound interval no start state, and
-    # no orbit mask, is built
+    # when the seed already meets the bound interval no start state, no
+    # include step towards the edge start and no orbit mask is built
     def refuse(*args):
         raise AssertionError("built a start state for a search that never ran")
 
-    monkeypatch.setattr(solver_module, "edge_nonneighbors", refuse)
-    monkeypatch.setattr(solver_module, "_edge_type_layers", refuse)
+    for name in ("_start_state", "_degd_include", "_edge_type_layers"):
+        monkeypatch.setattr(solver_module, name, refuse)
     for n, k in ((9, 2), (7, 3), (9, 4)):
         res = solve_kneser(n, k, 1)
         assert res.optimal and res.nodes_explored == 0, (n, k)
         assert res.bound_source is not None
 
 
+# plain solve at d = 2, 3, one worker: the optimum, recorded from the
+# search that starts at the root with a greedy seed
+PLAIN_DD_SIZES = {
+    (7, 2, 2): 7, (7, 2, 3): 10,
+    (8, 2, 2): 7, (8, 2, 3): 10,
+    (9, 2, 2): 8, (9, 2, 3): 10,
+    (10, 2, 2): 9, (10, 2, 3): 10,
+    (7, 3, 2): 22, (7, 3, 3): 28,
+}
+
+
 def test_edge_start_matches_plain_solve():
     # plain solve searches from the root with a greedy seed: an independent
-    # check on the edge start and on the alpha-sized seed it relies on
+    # check on the edge start and on the alpha-sized seed it relies on.  Its
+    # values are pinned (D1_TRAVERSALS at d=1); one small instance is solved
+    # live, so the pinned values keep meaning plain solve's
+    for d in (2, 3):
+        assert solve(build_kneser(8, 2), d).best_size == PLAIN_DD_SIZES[8, 2, d]
     for n, k in ((7, 3), (8, 3), (9, 3)):
         g = build_kneser(n, k)
-        exact = solve(g, 1).best_size
+        exact = D1_TRAVERSALS[f"K({n},{k})"][0]
         for threads in (1, 2):
             res = solve_kneser(n, k, 1, SearchBudget(thread_count=threads))
             assert res.optimal and res.best_size == exact, (n, k, threads)
             assert check_max_degree(g, res.witness, 1)
-    for n, k in ((7, 2), (8, 2), (9, 2), (10, 2), (7, 3)):
+    for (n, k, d), exact in PLAIN_DD_SIZES.items():
         g = build_kneser(n, k)
-        for d in (2, 3):
-            exact = solve(g, d).best_size
-            for threads in (1, 2):
-                res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
-                assert res.optimal and res.best_size == exact, (n, k, d, threads)
-                assert check_max_degree(g, res.witness, d)
+        for threads in (1, 2):
+            res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
+            assert res.optimal and res.best_size == exact, (n, k, d, threads)
+            assert check_max_degree(g, res.witness, d)
     for n in (2, 3, 5):
         res = solve_kneser(n, 1, 1)
         assert res.optimal and res.best_size == 2 == brute_force(build_kneser(n, 1), 1)
