@@ -232,6 +232,9 @@ def test_heuristic_lower():
         seed = heuristic_lower(build_kneser(n, k))
         assert seed.bit_count() == size, (n, k)
         assert check_max_degree(build_kneser(n, k), seed, 1), (n, k)
+
+
+def test_heuristic_mask_is_heuristic_lower():
     # heuristic_lower reads the seed off the centers; both branches of the
     # rule (a center, or [2k] choose k) must give the set built from elements
     for k in range(2, 6):
