@@ -29,6 +29,7 @@ from .certify import (
     find_x_matching,
     max_substrings,
     odd_expansion_check,
+    odd_expansion_violator,
     odd_hall_matching,
     odd_neighborhood,
     substrings_in_arrangement,

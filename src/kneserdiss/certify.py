@@ -8,15 +8,19 @@ k-sets appearing as cyclic substrings of arrangements of [n].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
+from types import MappingProxyType
 
 from .errors import CapacityError, DomainError
 from .graphs import GenericGraph, bits, mask_of
 from .kneser import KneserGraph, KSubset, build_kneser
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
+ODD_CENTER_CAP = 24  # odd_expansion_violator checks all 2^c - 1 sets L
 
 
 def check_max_degree(g: GenericGraph, s, d: int) -> bool:
@@ -174,6 +178,46 @@ def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
     return k * nbhd.bit_count() >= (k + 1) * lmask.bit_count()
 
 
+def _subset_unions(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Union and size of every subset of ``rows``; subset s is index s."""
+    unions, sizes = [0], [0]
+    for row in rows:
+        unions += [u | row for u in unions]
+        sizes += [z + 1 for z in sizes]
+    return unions, sizes
+
+
+def odd_expansion_violator(k: int, g: KneserGraph | None = None) -> frozenset | None:
+    """A nonempty L in the center of 2k+1 with k*|N(L) n D| < (k+1)*|L|, or None.
+
+    Every L is checked exactly, as odd_expansion_check does one at a time:
+    the c center rows below are split in two halves whose subset unions are
+    tabled once, so a set L costs one OR of two table entries (memory
+    O(2^ceil(c/2))).  c = C(2k, k-1) is capped at ODD_CENTER_CAP.
+    """
+    if k < 2:
+        raise DomainError("odd graphs need k >= 2")
+    n = 2 * k + 1
+    if g is not None and (g.n, g.k) != (n, k):
+        raise DomainError(f"graph is not the odd graph K({n},{k})")
+    if comb(2 * k, k - 1) > ODD_CENTER_CAP:
+        raise CapacityError(f"center of K({n},{k}) exceeds {ODD_CENTER_CAP} vertices")
+    if g is None:
+        g = build_kneser(n, k)
+    center = g.center_mask(n)
+    below = g.full_mask & ~center
+    cv = list(bits(center))
+    half = len(cv) // 2
+    lo, hi = cv[:half], cv[half:]
+    lo_unions, lo_sizes = _subset_unions([g.adj[v] & below for v in lo])
+    hi_unions, hi_sizes = _subset_unions([g.adj[v] & below for v in hi])
+    for b, (hu, hs) in enumerate(zip(hi_unions, hi_sizes)):
+        for a, (lu, ls) in enumerate(zip(lo_unions, lo_sizes)):
+            if k * (lu | hu).bit_count() < (k + 1) * (ls + hs):
+                return frozenset([lo[i] for i in bits(a)] + [hi[i] for i in bits(b)])
+    return None
+
+
 def odd_hall_matching(k: int, subset, g: KneserGraph | None = None) -> MatchingResult:
     """Matching of L into D along the edges of K(2k+1, k), or a Hall violator.
 
@@ -203,10 +247,14 @@ class CyclicArrangement:
         n = len(self.order)
         if not 1 <= k <= n:
             raise DomainError(f"window length {k} out of range")
-        doubled = self.order + self.order
-        return [
-            sum(1 << (e - 1) for e in doubled[s : s + k]) for s in range(n)
-        ]
+        # roll the first window on: add the element entering, drop the one leaving
+        bit = [1 << (e - 1) for e in self.order]
+        window = sum(bit[:k])
+        masks = [window]
+        for leave, enter in zip(bit[:-1], (bit + bit)[k:]):
+            window += enter - leave
+            masks.append(window)
+        return masks
 
 
 def all_arrangements(n: int):
@@ -263,5 +311,15 @@ def double_count_identity(n: int, k: int, family) -> bool:
     returning False would indicate an implementation bug.
     """
     masks = _family_masks(family, n, k)
-    total = sum(_window_count(c, masks, k) for c in all_arrangements(n))
+    tally = _window_tally(n, k)
+    total = sum(tally.get(m, 0) for m in masks)
     return total == len(masks) * factorial(k) * factorial(n - k)
+
+
+@cache
+def _window_tally(n: int, k: int) -> MappingProxyType:
+    """How many windows over all arrangements of [n] hold each k-set mask."""
+    tally = Counter()
+    for c in all_arrangements(n):
+        tally.update(c.window_masks(k))
+    return MappingProxyType(dict(tally))

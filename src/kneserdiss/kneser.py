@@ -81,6 +81,8 @@ class KneserGraph(GenericGraph):
         The vertices holding every element are the intersection of their
         centers, which for k distinct elements is exactly the vertex.
         """
+        if isinstance(vertex, bool):
+            raise DomainError(f"vertex {vertex!r} is a bool, not an index")
         if isinstance(vertex, int):
             if not 0 <= vertex < self.order:
                 raise DomainError(f"vertex index {vertex} out of range")

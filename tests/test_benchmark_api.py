@@ -10,6 +10,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+import kneserdiss.certify as certify_module
 import kneserdiss.cli  # noqa: F401  (tracing targets kneserdiss.cli.main)
 from kneserdiss import SearchBudget, build_kneser, solve_kneser
 
@@ -71,3 +74,25 @@ def test_d1_seed_goes_through_the_traced_name(monkeypatch):
     assert solve_kneser(8, 3).best_size == 21
     assert calls == [(8, 3)]
     assert ("kneserdiss.solver", "heuristic_lower", "solver.seed") in _tracing_targets()
+
+
+@pytest.mark.parametrize("group,name,calls", [
+    ("doublecount", "double_count_identity", 50),
+    ("katona", "max_substrings", 3),
+])
+def test_reproduce_oracles_go_through_traced_names(monkeypatch, capsys, group, name, calls):
+    # perfbench/tracing.py wraps these as certify.oracle spans, so the
+    # reproduce rows must keep calling them by their module names
+    seen = []
+    real = getattr(certify_module, name)
+
+    def counted(*args):
+        seen.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(certify_module, name, counted)
+    assert kneserdiss.cli.main(["reproduce", "--rows", group]) == 0
+    capsys.readouterr()
+    assert len(seen) == calls
+    assert ("kneserdiss.certify", name, "certify.oracle") in _tracing_targets()
+

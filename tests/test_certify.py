@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from itertools import combinations, permutations
@@ -17,11 +18,13 @@ from kneserdiss import (
     graph_from_edges,
     max_substrings,
     odd_expansion_check,
+    odd_expansion_violator,
     odd_hall_matching,
     odd_neighborhood,
     solve,
     substrings_in_arrangement,
 )
+import kneserdiss.certify as certify_module
 from kneserdiss.graphs import bits, mask_of
 from support import random_graph
 
@@ -149,6 +152,81 @@ def test_odd_expansion_exhaustive_o2():
             assert odd_expansion_check(2, sub, g)
 
 
+def expansion_fails(k, sub, g):
+    _, lmask, nbhd = odd_neighborhood(k, sub, g)
+    return k * nbhd.bit_count() < (k + 1) * lmask.bit_count()
+
+
+def without_edges(g, edges):
+    adj = list(g.adj)
+    for u, v in edges:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return dataclasses.replace(g, adj=tuple(adj))
+
+
+def test_odd_expansion_violator_agrees_with_every_l():
+    g = build_kneser(5, 2)
+    center = list(bits(g.center_mask(5)))
+    below = g.full_mask & ~g.center_mask(5)
+    every_l = [sub for size in range(1, len(center) + 1)
+               for sub in combinations(center, size)]
+    # O_2 as built, less any one edge between center and below, and less
+    # every edge of one vertex below: the violator exists iff some L fails
+    one_edge = [without_edges(g, [(v, u)])
+                for v in center for u in bits(g.adj[v] & below)]
+    one_vertex = [without_edges(g, [(v, u) for v in bits(g.adj[u] & ~below)])
+                  for u in bits(below)]
+    for h in [g] + one_edge + one_vertex:
+        violator = odd_expansion_violator(2, h)
+        failing = [sub for sub in every_l if expansion_fails(2, sub, h)]
+        assert (violator is None) == (not failing)
+        if violator is not None:
+            assert expansion_fails(2, violator, h) and violator <= set(center)
+    # one lost edge never breaks expansion, as the edge count shows; a
+    # vertex below cut from the center always does
+    assert len(one_edge) == 12 and len(one_vertex) == 6
+    assert all(odd_expansion_violator(2, h) is None for h in one_edge)
+    assert all(odd_expansion_violator(2, h) is not None for h in one_vertex)
+    assert odd_expansion_violator(2) is None
+    # O_3 holds; test_criterion_10_odd_graph_expansion checks its 2^15 - 1
+    # sets L one at a time
+    assert odd_expansion_violator(3) is None
+
+
+def test_odd_expansion_violator_on_a_corrupted_o3():
+    g = build_kneser(7, 3)
+    center = g.center_mask(7)
+    below = g.full_mask & ~center
+    u = next(bits(below))
+    h = without_edges(g, [(v, u) for v in bits(g.adj[u] & center)])
+    violator = odd_expansion_violator(3, h)
+    assert violator and isinstance(violator, frozenset)
+    assert expansion_fails(3, violator, h) and not expansion_fails(3, violator, g)
+    # a single lost edge leaves the odd graph expanding
+    v = next(bits(center))
+    assert odd_expansion_violator(3, without_edges(g, [(v, next(bits(g.adj[v] & below)))])) is None
+
+
+def test_odd_expansion_violator_contract(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(certify_module, "_subset_unions", no_table)
+    monkeypatch.setattr(certify_module, "build_kneser", no_table)
+    # the center of K(9,4) has C(8,3) = 56 vertices
+    with pytest.raises(CapacityError):
+        odd_expansion_violator(4)
+    with pytest.raises(CapacityError):
+        odd_expansion_violator(4, build_kneser(9, 4))
+    for k in (1, 0, -1):
+        with pytest.raises(DomainError):
+            odd_expansion_violator(k)
+    for k, g in ((3, build_kneser(5, 2)), (2, build_kneser(6, 2)), (2, build_kneser(5, 1))):
+        with pytest.raises(DomainError):
+            odd_expansion_violator(k, g)
+
+
 def test_odd_neighborhood_is_the_union_of_rows_below():
     # N(L) n D: the union of L's rows, less the center of 2k+1
     for k in (2, 3):
@@ -178,6 +256,13 @@ def test_odd_expansion_contract_errors():
             check(3, [0], g)
 
 
+def test_odd_neighborhood_rejects_bools():
+    g = build_kneser(5, 2)
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="bool"):
+            odd_neighborhood(2, [flag], g)
+
+
 def test_odd_hall_matching_saturates_o2():
     # every L in the center of 5 is matched along edges into the vertices
     # avoiding 5, one partner each
@@ -203,6 +288,29 @@ def test_arrangement_normalization():
     assert len(list(all_arrangements(5))) == 24
     with pytest.raises(CapacityError):
         list(all_arrangements(10))
+
+
+def test_window_masks_roll_like_the_definition():
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        for c in all_arrangements(n):
+            doubled = c.order + c.order
+            for k in range(1, n + 1):
+                direct = [mask_of(e - 1 for e in doubled[s:s + k]) for s in range(n)]
+                assert c.window_masks(k) == direct, (c.order, k)
+            assert c.window_masks(n) == [full] * n
+
+
+def test_window_tally_counts_every_window():
+    for n in range(1, 7):
+        arrangements = len(list(all_arrangements(n)))
+        for k in range(1, n + 1):
+            tally = certify_module._window_tally(n, k)
+            assert sum(tally.values()) == n * arrangements
+            with pytest.raises(TypeError):
+                tally[0] = 1
+        # at k = n each of the n windows is the full set
+        assert dict(certify_module._window_tally(n, n)) == {(1 << n) - 1: n * arrangements}
 
 
 def test_substring_counting():

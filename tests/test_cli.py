@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from itertools import combinations
 
 import pytest
 
+import kneserdiss.certify as certify_module
 import kneserdiss.cli as cli_module
 import kneserdiss.graphs as graphs_module
 import kneserdiss.kneser as kneser_module
@@ -360,3 +362,52 @@ def test_reproduce_detects_corrupted_solver(capsys, monkeypatch):
     code, out, _ = run(capsys, "reproduce", "--rows", "odd")
     assert code == 1
     assert "mismatch" in out
+
+
+def cut_below(g, how):
+    """g with its odd-graph expansion broken: the center of 2k+1 either
+    loses one vertex below from every row, or one center row keeps a single
+    neighbour below.  (One lost edge alone breaks nothing: the edge count
+    gives k*|N(L) n D| >= (k+1)*|L| - 1, equal only at L = {} or the center.)"""
+    center = g.center_mask(g.n)
+    below = g.full_mask & ~center
+    adj = list(g.adj)
+    if how == "vertex below":
+        u = next(bits(below))
+        for v in bits(center):
+            adj[v] &= ~(1 << u)
+        adj[u] &= ~center
+    else:
+        v = next(bits(center))
+        for u in list(bits(adj[v] & below))[1:]:
+            adj[v] &= ~(1 << u)
+            adj[u] &= ~(1 << v)
+    return dataclasses.replace(g, adj=tuple(adj))
+
+
+@pytest.mark.parametrize("how", ["vertex below", "center row"])
+def test_reproduce_detects_broken_expansion(capsys, monkeypatch, how):
+    def corrupted(n, k):
+        g = build_kneser(n, k)
+        return cut_below(g, how) if (n, k) == (7, 3) else g
+
+    monkeypatch.setattr(cli_module, "build_kneser", corrupted)
+    code, out, _ = run(capsys, "reproduce", "--rows", "hall")
+    assert code == 1
+    assert [line.split()[-1] for line in out.splitlines()[:-1]] == [
+        "match", "match", "mismatch", "match"]
+
+
+def test_reproduce_detects_a_dropped_window(capsys, monkeypatch):
+    real = certify_module.CyclicArrangement.window_masks
+    monkeypatch.setattr(certify_module.CyclicArrangement, "window_masks",
+                        lambda c, k: real(c, k)[1:])
+    # the tally is cached per (n, k): build it again from the broken windows
+    certify_module._window_tally.cache_clear()
+    try:
+        code, out, _ = run(capsys, "reproduce", "--rows", "doublecount")
+    finally:
+        certify_module._window_tally.cache_clear()
+    assert code == 1
+    assert "mismatch" in out
+

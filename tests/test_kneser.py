@@ -148,6 +148,10 @@ def test_vertex_index_rejects_non_vertices():
     # a KSubset of a larger ground set names no vertex of K(5,2)
     with pytest.raises(DomainError):
         g.vertex_index(build_kneser(6, 2).vertices[-1])
+    # bool is an int subclass, but True is no name for vertex 1
+    for flag in (True, False):
+        with pytest.raises(DomainError, match="bool"):
+            g.vertex_index(flag)
 
 
 def build_digest(g):
