@@ -98,6 +98,9 @@ class KneserGraph(GenericGraph):
 
     def center_mask(self, i: int) -> int:
         """Bitset of all vertices whose subset contains element i."""
+        # bool is an int subclass, but True is no name for element 1
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise DomainError(f"element {i!r} is not an int")
         if not 1 <= i <= self.n:
             raise DomainError(f"element {i} outside [1, {self.n}]")
         return self.centers[i - 1]

@@ -17,14 +17,20 @@ narrows free from the top layer down to the vertices of maximum
 free-degree; the branch vertex is the lowest of them.  The general-d
 engine's state is (free, chosen).
 
-The general-d engine bounds each node by degree counting inside
-R = free | chosen.  With r(v) = |N(v) & R|, every feasible completion S,
-chosen <= S <= R, satisfies sum over S of (2r(s) - d) <= 2e(R): each s in
-S has at most d neighbours in S, so sum r(s) - d|S| <= e(S, R - S) <=
-sum over R - S of r(w).  The node's bound is |chosen| + t, where t is the
-largest number of free vertices whose smallest weights 2r - d, added to
-the chosen vertices' weights, stay within 2e(R).  No regularity is
-assumed, so the bound holds on any graph.
+The general-d engine branches on the most constrained free vertex, fail
+first: the most chosen neighbours, then the most free neighbours, then
+the lowest index.  At d=0 no free vertex has a chosen neighbour, so the
+rule is the most free neighbours there.  It bounds each node by degree
+counting inside R = free | chosen.  With r(v) = |N(v) & R|, every
+feasible completion S, chosen <= S <= R, satisfies
+sum over S of max(r(s), 2r(s) - d) <= 2e(R): each s in S has at most d
+neighbours in S, so e(S, R - S) >= sum over S of max(r(s) - d, 0); and
+every edge from S to R - S is counted in sum over R - S of r(w), which
+is 2e(R) - sum over S of r(s).  The weight is never below 2r - d, and
+above it only where r < d.  The node's bound is |chosen| + t, where t is
+the largest number of free vertices whose smallest weights, added to the
+chosen vertices' weights, stay within 2e(R).  No regularity is assumed,
+so the bound holds on any graph.
 
 ``solve`` and ``solve_kneser`` share one search path, which may start
 from a list of given states instead of the root.  ``solve_kneser`` adds
@@ -231,10 +237,16 @@ def _degd_children(adj, d, state, incumbent):
     """Include/exclude children, [] when the degree-counting bound prunes,
     or None once nothing is undecided.
 
-    One pass over R = free | chosen picks the branch vertex (maximum
-    undecided-degree, lowest index on ties) and collects what the bound in
-    the module docstring needs: the weights 2r(v) - d of the free vertices
-    and the slack 2e(R) minus the chosen vertices' weights.
+    One pass over R = free | chosen picks the branch vertex, the most
+    constrained free vertex: the most chosen neighbours c = r - du, then
+    the most free neighbours du, then the lowest index.  The same pass
+    collects what the bound in the module docstring needs: the weights
+    max(r, 2r - d) of the free vertices, and the slack 2e(R) minus the
+    chosen vertices' weights, which is the sum of r over the free vertices
+    plus d - r for each chosen vertex with r > d.  The weights hold
+    because each s of a completion S has at least max(r(s) - d, 0)
+    neighbours in R - S, and those edges are counted in the sum of r over
+    R - S, 2e(R) minus the sum of r over S.
     """
     free, chosen = state
     need = incumbent - chosen.bit_count() + 1  # free vertices a better completion must add
@@ -247,10 +259,12 @@ def _degd_children(adj, d, state, incumbent):
     m = chosen
     while m:
         lsb = m & -m
-        slack += d - (adj[lsb.bit_length() - 1] & live).bit_count()
+        r = (adj[lsb.bit_length() - 1] & live).bit_count()
+        if r > d:
+            slack += d - r
         m ^= lsb
     weights = []
-    v, best_d = -1, -1
+    v, best_c, best_d = -1, -1, -1
     m = free
     while m:
         lsb = m & -m
@@ -259,12 +273,13 @@ def _degd_children(adj, d, state, incumbent):
         a = adj[u]
         r = (a & live).bit_count()
         slack += r
-        weights.append(2 * r - d)
+        weights.append(2 * r - d if r > d else r)
         du = (a & free).bit_count()
-        if du > best_d:
-            best_d, v = du, u
-    # feasible t form a prefix of 0, 1, 2, ..., so t >= need iff the need
-    # smallest weights fit in the slack
+        c = r - du
+        if c > best_c or c == best_c and du > best_d:
+            best_c, best_d, v = c, du, u
+    # weights are nonnegative, so t >= need iff the need smallest weights
+    # fit in the slack
     if need > 0:
         weights.sort()
         if sum(weights[:need]) > slack:
@@ -283,13 +298,20 @@ def _degd_include(adj, d, free, chosen, v):
     nchosen = chosen | vbit
     nfree = free & ~vbit
     a = adj[v]
-    for u in bits(a & nfree):
-        if (adj[u] & nchosen).bit_count() > d:
-            nfree &= ~(1 << u)
+    m = a & nfree
+    while m:
+        lsb = m & -m
+        m ^= lsb
+        if (adj[lsb.bit_length() - 1] & nchosen).bit_count() > d:
+            nfree &= ~lsb
     # saturated chosen vertices forbid their whole undecided neighbourhood
-    for u in bits((a & chosen) | vbit):
-        if (adj[u] & nchosen).bit_count() == d:
-            nfree &= ~adj[u]
+    m = (a & chosen) | vbit
+    while m:
+        lsb = m & -m
+        m ^= lsb
+        b = adj[lsb.bit_length() - 1]
+        if (b & nchosen).bit_count() == d:
+            nfree &= ~b
     return nfree, nchosen
 
 

@@ -23,6 +23,7 @@ from kneserdiss import (
     induced_subgraph,
     kneser_from_json,
     kneser_to_json,
+    odd_neighborhood,
     read_dimacs,
     write_dimacs,
 )
@@ -152,6 +153,15 @@ def test_vertex_index_rejects_non_vertices():
     for flag in (True, False):
         with pytest.raises(DomainError, match="bool"):
             g.vertex_index(flag)
+    # nor is True element 1 inside a vertex, and 2.0 is no element at all
+    for bad in ((True, 2), (2, True), (2.0, 3), (1, "2")):
+        with pytest.raises(DomainError, match="not an int"):
+            g.vertex_index(bad)
+    for bad in (True, False, 2.0, "2", None):
+        with pytest.raises(DomainError, match="not an int"):
+            g.center_mask(bad)
+    with pytest.raises(DomainError, match="not an int"):
+        odd_neighborhood(2, [(True, 5)], g)
 
 
 def build_digest(g):

@@ -245,14 +245,16 @@ def test_heuristic_mask_is_heuristic_lower():
 
 # (size, optimal, nodes, witness, bound_source), one worker.  The sizes and
 # witnesses were recorded from the solve_kneser whose vertex lookup went
-# through a dict over all vertices
+# through a dict over all vertices; the d=2 rows' nodes and the budgeted
+# K(9,4) witness from the general-d engine that branches on the most
+# constrained vertex
 VERTEX_FREE_CASES = {
     (7, 3, 0): (15, True, 0, 0x7FFF, "independence_number"),
     (7, 3, 1): (20, True, 0, 0x965B96EF, "edge_local"),
-    (7, 3, 2): (22, True, 13254, 0x182F9BE7F, None),
+    (7, 3, 2): (22, True, 277, 0x182F9BE7F, None),
     (9, 4, 0): (56, True, 0, 0xFFFFFFFFFFFFFF, "independence_number"),
     (9, 4, 1): (70, True, 0, 0x2258965B8965B96EF12CB72DDE5BBDF, "edge_local"),
-    (9, 4, 2): (57, False, 2001, 0x2000000000000793F6C37EFFDFFFBDF, None),
+    (9, 4, 2): (57, False, 2001, 0x61087EF6601F99607303F37C0207873, None),
     (10, 4, 0): (84, True, 0, (1 << 84) - 1, "independence_number"),
     (10, 4, 1): (84, False, 2001, (1 << 84) - 1, None),
     (10, 4, 2): (84, False, 2001, (1 << 84) - 1, None),
@@ -395,7 +397,10 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             assert engine_view(roots[0]) == engine_view(children_of(start, -1)[0]), (n, k, d)
             state, branched = start, set()
             for r in roots[:-1]:
-                v, _ = full_scan_branch_vertex(g.adj, state[0])
+                if d == 1:
+                    v, _ = full_scan_branch_vertex(g.adj, state[0])
+                else:
+                    v = most_constrained_vertex(g.adj, *state)
                 assert r[-1] == edge | 1 << v, (n, k, d)
                 assert engine_view(r) == engine_view(children_of(state, -1)[0]), (n, k, d)
                 assert types[v] not in branched, (n, k, d)
@@ -418,6 +423,13 @@ def full_scan_branch_vertex(adj, free):
         return -1, -1
     v = max(bits(free), key=lambda u: ((adj[u] & free).bit_count(), -u))
     return v, (adj[v] & free).bit_count()
+
+
+def most_constrained_vertex(adj, free, chosen):
+    """The general-d branch rule read off every free vertex: most chosen
+    neighbours, then most free neighbours, then the lowest index."""
+    return max(bits(free), key=lambda u: ((adj[u] & chosen).bit_count(),
+                                          (adj[u] & free).bit_count(), -u))
 
 
 def assert_counts_on(adj, free, counted, layers):
@@ -606,6 +618,7 @@ PLAIN_DD_SIZES = {
     (9, 2, 2): 8, (9, 2, 3): 10,
     (10, 2, 2): 9, (10, 2, 3): 10,
     (7, 3, 2): 22, (7, 3, 3): 28,
+    (8, 3, 2): 22,
 }
 
 
@@ -653,7 +666,7 @@ def test_general_d_seed_rule(monkeypatch):
             assert res.optimal and res.nodes_explored == 0, (n, k, d, threads)
     # one worker repeats this count
     res = solve_kneser(7, 3, 2)
-    assert res.best_size == 22 and res.optimal and res.nodes_explored == 13_254
+    assert res.best_size == 22 and res.optimal and res.nodes_explored == 277
     # on K(9,2) at d=2 no set holding the edge has more than 7 vertices, so
     # the answer alpha = 8 must come from the seed: the center keeps it
     # there when the greedy set falls short
@@ -683,13 +696,111 @@ def test_general_d_free_vertices_can_always_join():
     for g in graphs:
         adj = g.adj
         for d in (0, 2, 3):
-            root, children_of, closure_of = solver_module._engine(adj, d)
-            stack = [root]
-            while stack:
-                state = stack.pop()
+            for state, kids in unpruned_states(adj, d):
                 assert_free_vertices_can_join(adj, d, state)
-                kids = children_of(state, -1)
                 if kids is None:
-                    assert check_max_degree(g, closure_of(state), d)
-                else:
-                    stack.extend(kids)
+                    assert check_max_degree(g, solver_module._degd_closure(state), d)
+
+
+# plain solve at d = 2, 3, one worker: (size, nodes, witness), recorded
+# from the general-d engine that branches on the most constrained vertex
+DD_TRAVERSALS = {
+    ("K(7,2)", 2): (7, 927, 0x184F),
+    ("K(7,2)", 3): (10, 743, 0x99CF),
+    ("K(8,2)", 2): (7, 4261, 0x7F),
+    ("K(8,2)", 3): (10, 5529, 0x4638F),
+    ("K(9,2)", 2): (8, 7961, 0xFF),
+    ("K(9,2)", 3): (10, 32787, 0x21870F),
+    ("G(30,0.3) seed 5", 2): (14, 2481, 0xA2FC2D4),
+    ("G(30,0.3) seed 5", 3): (16, 8105, 0x12B96AF1),
+}
+
+
+def test_dd_traversals_match_recorded():
+    graphs = {f"K({n},2)": build_kneser(n, 2) for n in (7, 8, 9)}
+    graphs["G(30,0.3) seed 5"] = random_graph(30, 0.3, random.Random(5))
+    for (name, d), expect in DD_TRAVERSALS.items():
+        res = solve(graphs[name], d)
+        assert res.optimal
+        assert (res.best_size, res.nodes_explored, res.witness) == expect, (name, d)
+
+
+def largest_completion(adj, d, state):
+    """The largest completion of a general-d state, by trying every subset
+    of its free vertices: its size, or -1 when no completion exists."""
+    free, chosen = state
+    best, sub = -1, free
+    while True:
+        s = chosen | sub
+        if s.bit_count() > best and all((adj[v] & s).bit_count() <= d for v in bits(s)):
+            best = s.bit_count()
+        if not sub:
+            return best
+        sub = (sub - 1) & free
+
+
+def old_bound(adj, d, state):
+    """The general-d bound with the weights 2r - d that preceded
+    max(r, 2r - d): |chosen| plus the most free vertices whose smallest
+    weights fit in the slack."""
+    free, chosen = state
+    live = free | chosen
+    r = {u: (adj[u] & live).bit_count() for u in bits(live)}
+    slack = sum(r[u] for u in bits(free)) + sum(d - r[u] for u in bits(chosen))
+    t = 0
+    for w in sorted(2 * r[u] - d for u in bits(free)):
+        if w > slack:
+            break
+        slack -= w
+        t += 1
+    return chosen.bit_count() + t
+
+
+def unpruned_states(adj, d):
+    """Every state of the general-d engine's search that prunes nothing,
+    with its children (None at the endgame).  It runs the general-d engine
+    at every d, d=1 included, where solve takes the d=1 engine."""
+    stack = [((1 << len(adj)) - 1, 0)]
+    while stack:
+        state = stack.pop()
+        kids = solver_module._degd_children(adj, d, state, -1)
+        yield state, kids
+        stack.extend(kids or ())
+
+
+def test_general_d_bound_is_sound_and_branches_most_constrained():
+    # the bound never prunes a node below the size of its largest
+    # completion, and each node branches on the most constrained vertex
+    rng = random.Random(29)
+    graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
+        random_graph(rng.randint(6, 12), (0.2, 0.4, 0.6, 0.8)[i % 4], rng) for i in range(12)
+    ]
+    for g in graphs:
+        adj = g.adj
+        for d in (0, 1, 2, 3):
+            for state, kids in unpruned_states(adj, d):
+                best = largest_completion(adj, d, state)
+                assert best >= state[1].bit_count(), (g.order, d)
+                assert solver_module._degd_children(adj, d, state, best - 1) != [], (g.order, d)
+                if kids is not None:
+                    v = most_constrained_vertex(adj, *state)
+                    assert kids[0][1] == state[1] | 1 << v, (g.order, d)
+
+
+def test_general_d_bound_is_never_weaker():
+    # both bounds prune every incumbent from their value up, so the new one
+    # is never weaker iff it prunes at the old one's value; somewhere it
+    # prunes one below
+    rng = random.Random(31)
+    graphs = [build_kneser(6, 2)] + [
+        random_graph(rng.randint(10, 13), (0.2, 0.4, 0.6)[i % 3], rng) for i in range(9)
+    ]
+    tighter = 0
+    for g in graphs:
+        adj = g.adj
+        for d in (0, 1, 2, 3):
+            for state, _ in unpruned_states(adj, d):
+                bound = old_bound(adj, d, state)
+                assert solver_module._degd_children(adj, d, state, bound) == [], (g.order, d)
+                tighter += solver_module._degd_children(adj, d, state, bound - 1) == []
+    assert tighter > 0
