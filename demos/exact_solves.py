@@ -40,13 +40,6 @@ print(f"diss(K(8,3)) = {res.best_size}  optimal={res.optimal}  "
       f"nodes={res.nodes_explored}  {time.monotonic() - start:.2f}s")
 
 print()
-print("=== the same instance with four workers ===")
-start = time.monotonic()
-res = solve_kneser(8, 3, 1, SearchBudget(max_time=300.0, thread_count=4))
-print(f"diss(K(8,3)) = {res.best_size}  optimal={res.optimal}  "
-      f"{time.monotonic() - start:.2f}s")
-
-print()
 print("=== generalized degree bounds on the Petersen graph ===")
 for d in (0, 1, 2, 3):
     res = solve(g, d)

@@ -43,11 +43,12 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def _load_json(text: str, what: str):
-    # ValueError covers JSONDecodeError and integers past the digit limit;
-    # deep nesting overflows the decoder's recursion
+def _load_json(text: str, what: str, parse_float=None):
+    # ValueError covers JSONDecodeError, integers past the digit limit and
+    # DomainError from parse_float; deep nesting overflows the decoder's
+    # recursion
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=parse_float)
     except (ValueError, RecursionError) as exc:
         raise DomainError(f"malformed {what} JSON: {exc}") from exc
 

@@ -38,15 +38,12 @@ def _parse_duration(text: str) -> float:
 
 def _budget_from_args(args) -> solver.SearchBudget:
     max_time = _parse_duration(args.max_time) if args.max_time else None
-    return solver.SearchBudget(
-        max_nodes=args.max_nodes, max_time=max_time, thread_count=args.threads
-    )
+    return solver.SearchBudget(max_nodes=args.max_nodes, max_time=max_time)
 
 
 def _add_budget_flags(p):
     p.add_argument("--max-time", help="wall clock budget, e.g. 600s / 5m / 1h")
     p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
 
 
 def cmd_gen(args) -> int:

@@ -194,8 +194,13 @@ def kneser_to_json(g: KneserGraph) -> str:
     )
 
 
+def _reject_float(text: str):
+    raise DomainError(f"non-integer number {text}")
+
+
 def kneser_from_json(text: str) -> KneserGraph:
-    doc = _load_json(text, "graph")
+    # 1.0 would equal element 1 in the comparison below, so no float loads
+    doc = _load_json(text, "graph", _reject_float)
     try:
         n, k = _json_int(doc["n"], "n"), _json_int(doc["k"], "k")
         listed = [tuple(v) for v in doc["vertices"]]
@@ -207,4 +212,8 @@ def kneser_from_json(text: str) -> KneserGraph:
         v != c for v, c in zip(listed, combinations(range(1, n + 1), k))
     ):
         raise DomainError("vertex list does not match canonical enumeration")
+    # true equals 1 and false no element; 1 is the first element of the
+    # first comb(n - 1, k - 1) vertices and of no other
+    if any(type(v[0]) is bool for v in listed[:comb(n - 1, k - 1)]):
+        raise DomainError("vertex elements must be integers, got true")
     return build_kneser(n, k)

@@ -32,12 +32,13 @@ the largest number of free vertices whose smallest weights, added to the
 chosen vertices' weights, stay within 2e(R).  No regularity is assumed,
 so the bound holds on any graph.
 
-``solve`` and ``solve_kneser`` share one search path, which may start
-from a list of given states instead of the root.  ``solve_kneser`` adds
-what is only sound for Kneser graphs.  At every d >= 1 the search starts
-with the edge x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is
-seeded with a set of at least alpha vertices, so it is as large as any
-independent set; every better set holds an edge, and since K(n, k) is
+``solve`` and ``solve_kneser`` share one search path, one depth-first
+search in one process, which may start from a list of given states
+instead of the root.  ``solve_kneser`` adds what is only sound for
+Kneser graphs.  At every d >= 1 the search starts with the edge
+x = {1,...,k}, y = {k+1,...,2k} chosen.  The incumbent is seeded with a
+set of at least alpha vertices, so it is as large as any independent
+set; every better set holds an edge, and since K(n, k) is
 edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
 largest set holding xy).  The start's free set is what the include rule
 leaves after including x and then y.  At d=1 that is M, the common
@@ -74,12 +75,16 @@ from .graphs import GenericGraph, bits
 from .kneser import KneserGraph, build_kneser
 
 BRUTE_FORCE_CAP = 26
-MAX_THREADS = 64  # worker processes a budget may ask for
-_SYNC_INTERVAL = 2048  # nodes between time/shared-incumbent checks
+MAX_THREADS = 64  # the largest thread_count a budget accepts
+_DEADLINE_INTERVAL = 2048  # nodes between deadline checks
 
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits on one search.  ``thread_count`` selects nothing: every search
+    runs in one process.  It is kept, with its range check, for callers
+    that still pass it."""
+
     max_nodes: int | None = None
     max_time: float | None = None  # seconds
     thread_count: int = 1
@@ -347,21 +352,19 @@ def _engine(adj, d):
     return root, partial(_degd_children, adj, d), _degd_closure
 
 
-def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, shared, stop_at):
+def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, stop_at):
     """Depth-first search from ``roots``, the first on top; (witness, nodes, completed).
 
     ``witness`` is the seed: its size primes pruning, and it comes back
     unless the search builds a larger set, so the result is always a real
     set.  The incumbent and the limits, numbers that are math.inf when
-    unset, carry across roots.  ``shared`` is the pool's incumbent size,
-    None in a serial search.
+    unset, carry across roots.
     """
     incumbent = witness.bit_count()
-    if shared is not None:
-        incumbent = max(incumbent, shared.value)
     nodes = 0
-    # one test per node: past ``limit`` the budget is spent or a sync is due
-    limit = min(_SYNC_INTERVAL - 1, max_nodes)
+    # one test per node: past ``limit`` the budget is spent or a deadline
+    # check is due
+    limit = min(_DEADLINE_INTERVAL - 1, max_nodes)
     stack = roots[::-1]
     while stack:
         state = stack.pop()
@@ -369,9 +372,7 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, sh
         if nodes > limit:
             if nodes > max_nodes or time.monotonic() > deadline:
                 return witness, nodes, False
-            if shared is not None and shared.value > incumbent:
-                incumbent = shared.value
-            limit = min(nodes + _SYNC_INTERVAL - 1, max_nodes)
+            limit = min(nodes + _DEADLINE_INTERVAL - 1, max_nodes)
         if incumbent >= stop_at:
             break
         kids = children_of(state, incumbent)
@@ -381,10 +382,6 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, sh
             if size > incumbent:
                 incumbent = size
                 witness = wit
-                if shared is not None:
-                    with shared.get_lock():
-                        if size > shared.value:
-                            shared.value = size
             continue
         # children are include-first; the stack flips them, so push reversed
         for ch in reversed(kids):
@@ -392,48 +389,13 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, sh
     return witness, nodes, True
 
 
-def _expand_frontier(children_of, roots, want, incumbent):
-    """Breadth-first split of the roots into independent subproblems.
-
-    States the seed's size ``incumbent`` prunes are dropped, so the split
-    may leave no task at all.
-    """
-    frontier = list(roots)
-    tasks = []
-    expansions = 0
-    while frontier and len(tasks) + len(frontier) < want:
-        state = frontier.pop(0)
-        kids = children_of(state, incumbent)
-        expansions += 1
-        if kids is None:
-            tasks.append(state)
-        else:
-            frontier.extend(kids)
-    return tasks + frontier, expansions
-
-
-# _run_search's arguments but the root, set in each worker by the initializer
-_POOL_ARGS: tuple = ()
-
-
-def _pool_init(*args):
-    global _POOL_ARGS
-    _POOL_ARGS = args
-
-
-def _pool_task(root):
-    children_of, closure_of, witness, *limits = _POOL_ARGS
-    return _run_search(children_of, closure_of, [root], witness, *limits)
-
-
 def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_source=None):
-    """The one search path behind solve and solve_kneser.
+    """The one search path behind solve and solve_kneser, in one process.
 
     ``seed_witness`` None takes the greedy set.  The seed primes pruning and
-    is the answer unless a search builds a larger set.  The engine is built
-    once and unset limits become math.inf once; the serial search and every
-    pool task get the same arguments.  A node budget runs in one process,
-    so it holds exactly.  ``roots`` None searches from the engine's root;
+    is the answer unless the search builds a larger set.  Unset limits
+    become math.inf, and the one search counts every node, so a node budget
+    holds exactly.  ``roots`` None searches from the engine's root;
     otherwise ``roots(children, seed size)`` gives the states to search
     from.  A seed that reaches ``stop_at`` is optimal by the bound, and no
     search runs and ``roots`` is not called.
@@ -453,28 +415,8 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     if seed_size < stop_at:
         root, children_of, closure_of = _engine(adj, d)
         starts = [root] if roots is None else roots(children_of, seed_size)
-        if budget.thread_count == 1 or budget.max_nodes is not None:
-            outs = [_run_search(children_of, closure_of, starts, seed_witness,
-                                max_nodes, deadline, None, stop_at)]
-        else:
-            tasks, nodes = _expand_frontier(children_of, starts,
-                                            budget.thread_count * 8, seed_size)
-            outs = []
-            # no tasks: the seed pruned every state, and no pool starts
-            if tasks:
-                # imported here, so a process that never forks never loads it
-                import multiprocessing
-
-                ctx = multiprocessing.get_context("fork")
-                shared = ctx.Value("q", seed_size)
-                initargs = (children_of, closure_of, seed_witness,
-                            max_nodes, deadline, shared, stop_at)
-                with ctx.Pool(budget.thread_count, initializer=_pool_init,
-                              initargs=initargs) as pool:
-                    outs = pool.map(_pool_task, tasks, chunksize=1)
-        witness = max((o[0] for o in outs), default=seed_witness, key=int.bit_count)
-        nodes += sum(o[1] for o in outs)
-        completed = all(o[2] for o in outs)
+        witness, nodes, completed = _run_search(children_of, closure_of, starts, seed_witness,
+                                                max_nodes, deadline, stop_at)
 
     best = witness.bit_count()
     optimal, source = completed, None

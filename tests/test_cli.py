@@ -79,16 +79,18 @@ def test_solve_budget_exhaustion_exit_3(capsys):
     assert json.loads(out)["optimal"] is False
 
 
-def test_solve_rejects_budget_that_cannot_run(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("split the search for a budget that cannot run")
-
-    monkeypatch.setattr(solver_module, "_expand_frontier", no_pool)
-    for flags in (("--max-nodes", "-5"), ("--max-nodes", "0"), ("--max-time", "0s"),
-                  ("--threads", "100000")):
+def test_solve_rejects_budget_that_cannot_run(capsys):
+    for flags in (("--max-nodes", "-5"), ("--max-nodes", "0"), ("--max-time", "0s")):
         code, out, err = run(capsys, "solve", "8", "3", *flags)
         assert code == 2, flags
         assert out == "" and "error:" in err
+    # every search runs in one process, and the worker-count flag is gone:
+    # argparse refuses it with a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "8", "3", "--threads", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("usage:") and "unrecognized arguments: --threads 2" in captured.err
 
 
 def test_solve_max_degree_flag(capsys):
@@ -225,8 +227,9 @@ def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(graph), str(bad))
         assert code == 2, text
         assert err
-    # graph JSON: n and k must be JSON integers, read as strictly as a
-    # certificate's; each vertex list is canonical for the truncated value
+    # graph JSON: n, k and the vertex elements must be JSON integers, read
+    # as strictly as a certificate's; each vertex list is canonical for the
+    # value that true or a float equals
     cert = tmp_path / "one.json"
     cert.write_text('{"d": 1, "set": [1]}')
     petersen = json.dumps([list(c) for c in combinations(range(1, 6), 2)])
@@ -235,6 +238,8 @@ def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
         '{"n": Infinity, "k": 2, "vertices": []}',
         '{"n": 5.7, "k": 2, "vertices": %s}' % petersen,
         '{"n": 5, "k": true, "vertices": %s}' % singletons,
+        '{"n": 5, "k": 2, "vertices": %s}' % petersen.replace("[1,", "[true,"),
+        '{"n": 5, "k": 2, "vertices": %s}' % petersen.replace("[1,", "[1.0,"),
     ):
         bad.write_text(text)
         code, _, err = run(capsys, "verify", str(bad), str(cert))

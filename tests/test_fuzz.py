@@ -3,8 +3,7 @@
 Parsers may only raise DomainError or CapacityError, and the CLI may only
 exit with 0, 1, 2 or 3.  The examples are derandomized, so a run is
 repeatable.  The adjacency cap is lowered for the whole module, every search
-gets a node budget, at most two workers are ever drawn (larger counts are
-ones the budget refuses before forking), and reproduce always names its rows.
+gets a node budget, and reproduce always names its rows.
 """
 
 import contextlib
@@ -144,10 +143,6 @@ def mostly_valid(valid, anything):
 
 N = mostly_valid(st.integers(4, 9), st.integers(-3, 70))
 K = mostly_valid(st.integers(1, 3), st.integers(-3, 35))
-# 2 forks a pool only in a reproduce run drawn without --max-nodes, since a
-# node budget runs in one process; 0, -3, 65 and 100000 are refused while
-# the budget is built
-THREADS = st.sampled_from(["1", "1", "1", "1", "2", "0", "-3", "65", "100000"])
 MAX_NODES = st.sampled_from(["1", "30", "300", "300", "-5", "0"])
 MAX_TIME = st.sampled_from(["0.5s", "1m", "10", "1e400", "0", "-1", "nan", "abc"])
 
@@ -159,8 +154,6 @@ def budget_flags(draw, nodes_required):
         flags += ["--max-nodes", draw(MAX_NODES)]
     if draw(st.booleans()):
         flags += ["--max-time", draw(MAX_TIME)]
-    if draw(st.booleans()):
-        flags += ["--threads", draw(THREADS)]
     return flags
 
 

@@ -446,6 +446,18 @@ def test_json_reads_n_and_k_strictly():
         kneser_from_json('{"n": 65, "k": 2, "vertices": []}')
 
 
+def test_json_reads_vertex_elements_strictly():
+    # true equals 1, and 1.0 and 2.0 equal 1 and 2, so only their types tell
+    # them from the canonical elements
+    petersen = json.dumps([list(c) for c in combinations(range(1, 6), 2)])
+    for old, new in (("[1, 2]", "[true, 2]"), ("[1, 5]", "[true, 5]"), ("[1, 2]", "[1.0, 2]"),
+                     ("[2, 4]", "[2.0, 4]"), ("[4, 5]", "[4, 5e0]")):
+        text = '{"n": 5, "k": 2, "vertices": %s}' % petersen.replace(old, new)
+        with pytest.raises(DomainError):
+            kneser_from_json(text)
+    assert kneser_from_json('{"n": 5, "k": 2, "vertices": %s}' % petersen).order == 10
+
+
 def test_build_needs_no_numpy():
     src = os.path.dirname(os.path.dirname(kneserdiss.__file__))
     code = (

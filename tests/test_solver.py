@@ -1,4 +1,3 @@
-import multiprocessing
 import operator
 import os
 import random
@@ -141,30 +140,6 @@ def test_budget_exhaustion_returns_incumbent():
         res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes))
         assert not res.optimal and res.nodes_explored == max_nodes + 1
         assert res.witness == seed and res.best_size == seed.bit_count() == 84
-    # a node budget runs in one process, so it holds exactly for any
-    # thread_count and gives the single-worker witness
-    for max_nodes in (5, 500, 2000):
-        serial = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes))
-        for threads in (2, 4):
-            res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes, thread_count=threads))
-            assert not res.optimal and res.nodes_explored == max_nodes + 1, (max_nodes, threads)
-            assert res.witness == serial.witness, (max_nodes, threads)
-
-
-def test_pool_runs_only_without_a_node_budget(monkeypatch):
-    splits = []
-    expand = solver_module._expand_frontier
-
-    def counted(*args):
-        splits.append(args)
-        return expand(*args)
-
-    monkeypatch.setattr(solver_module, "_expand_frontier", counted)
-    g = build_kneser(6, 2)
-    assert solve(g, 1, SearchBudget(max_nodes=10_000, thread_count=2)).optimal
-    assert splits == []
-    assert solve(g, 1, SearchBudget(thread_count=2)).best_size == 6
-    assert len(splits) == 1
 
 
 def test_budget_rejects_limits_that_cannot_run():
@@ -196,23 +171,26 @@ def test_single_thread_determinism():
         ), (n, k, d)
 
 
-def test_thread_count_size_invariance():
+def test_thread_count_changes_nothing():
+    # every search runs in one process, so thread_count selects nothing:
+    # size, witness and node count repeat for any value
     rng = random.Random(3)
-    # d=1 runs the bitmask engine, d=2 the general-d engine's pool path
-    for d, kneser, counts in ((1, ((7, 3), (8, 3)), (1, 2, 4)),
-                              (2, ((7, 2), (8, 2)), (1, 2))):
+    for d, kneser in ((1, ((7, 3), (8, 3))), (2, ((7, 2), (8, 2)))):
         instances = [build_kneser(n, k) for n, k in kneser] + [
             random_graph(16, 0.4, rng) for _ in range(2)
         ]
         for g in instances:
-            sizes = set()
-            for tc in counts:
+            runs = set()
+            for tc in (1, 2, 4):
                 res = solve(g, d, SearchBudget(thread_count=tc))
-                assert res.optimal
-                assert res.best_size == res.witness.bit_count()
+                assert res.optimal and res.best_size == res.witness.bit_count()
                 assert check_max_degree(g, res.witness, d)
-                sizes.add(res.best_size)
-            assert len(sizes) == 1, (d, g.order)
+                runs.add((res.best_size, res.witness, res.nodes_explored))
+            assert len(runs) == 1, (d, g.order)
+    for n, k, d in ((8, 3, 1), (7, 3, 2)):
+        runs = {(r.best_size, r.witness, r.nodes_explored)
+                for r in (solve_kneser(n, k, d, SearchBudget(thread_count=tc)) for tc in (1, 2, 4))}
+        assert len(runs) == 1, (n, k, d)
 
 
 def best_known_mask(g):
@@ -537,26 +515,12 @@ def test_d1_traversals_match_recorded():
         assert (res.best_size, res.nodes_explored, res.witness, res.optimal) == expect, (n, k)
 
 
-def test_pool_split_prunes_against_the_seed(monkeypatch):
-    # the greedy seed is the whole graph here, so the split prunes the root
-    # and no pool starts: two workers count the one node one worker does
-    def no_pool(*args, **kwargs):
-        raise AssertionError("started a pool with nothing to split")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    for (n, k), d in (((6, 3), 2), ((7, 3), 4)):
-        g = build_kneser(n, k)
-        serial = solve(g, d)
-        res = solve(g, d, SearchBudget(thread_count=2))
-        assert serial.nodes_explored == res.nodes_explored == 1, (n, k, d)
-        assert res.optimal and res.witness == serial.witness == g.full_mask, (n, k, d)
-
-
 def test_cli_import_loads_no_multiprocessing():
-    # only the pool needs it, so a one-worker solve never loads it either
+    # every search runs in one process, whatever thread_count says
     src = os.path.dirname(os.path.dirname(solver_module.__file__))
     code = (
         "import sys, kneserdiss.cli; kneserdiss.solve(kneserdiss.build_kneser(7, 3), 1); "
+        "kneserdiss.solve(kneserdiss.build_kneser(7, 3), 1, kneserdiss.SearchBudget(thread_count=2)); "
         "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'"
     )
     env = dict(os.environ, PYTHONPATH=src)
@@ -632,16 +596,14 @@ def test_edge_start_matches_plain_solve():
     for n, k in ((7, 3), (8, 3), (9, 3)):
         g = build_kneser(n, k)
         exact = D1_TRAVERSALS[f"K({n},{k})"][0]
-        for threads in (1, 2):
-            res = solve_kneser(n, k, 1, SearchBudget(thread_count=threads))
-            assert res.optimal and res.best_size == exact, (n, k, threads)
-            assert check_max_degree(g, res.witness, 1)
+        res = solve_kneser(n, k, 1)
+        assert res.optimal and res.best_size == exact, (n, k)
+        assert check_max_degree(g, res.witness, 1)
     for (n, k, d), exact in PLAIN_DD_SIZES.items():
         g = build_kneser(n, k)
-        for threads in (1, 2):
-            res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
-            assert res.optimal and res.best_size == exact, (n, k, d, threads)
-            assert check_max_degree(g, res.witness, d)
+        res = solve_kneser(n, k, d)
+        assert res.optimal and res.best_size == exact, (n, k, d)
+        assert check_max_degree(g, res.witness, d)
     for n in (2, 3, 5):
         res = solve_kneser(n, 1, 1)
         assert res.optimal and res.best_size == 2 == brute_force(build_kneser(n, 1), 1)
@@ -657,14 +619,11 @@ def test_edge_start_matches_plain_solve():
 
 def test_general_d_seed_rule(monkeypatch):
     # at d >= the degree the greedy seed is the whole graph, which beats the
-    # center and prunes the edge start, so no root is searched, and no pool
-    # starts with nothing to split
+    # center and prunes the edge start, so no root is searched
     for n, k, d in ((6, 3, 2), (5, 2, 3), (7, 3, 4)):
-        for threads in (1, 2):
-            res = solve_kneser(n, k, d, SearchBudget(thread_count=threads))
-            assert res.witness == build_kneser(n, k).full_mask, (n, k, d, threads)
-            assert res.optimal and res.nodes_explored == 0, (n, k, d, threads)
-    # one worker repeats this count
+        res = solve_kneser(n, k, d)
+        assert res.witness == build_kneser(n, k).full_mask, (n, k, d)
+        assert res.optimal and res.nodes_explored == 0, (n, k, d)
     res = solve_kneser(7, 3, 2)
     assert res.best_size == 22 and res.optimal and res.nodes_explored == 277
     # on K(9,2) at d=2 no set holding the edge has more than 7 vertices, so
