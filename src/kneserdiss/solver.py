@@ -32,6 +32,31 @@ the largest number of free vertices whose smallest weights, added to the
 chosen vertices' weights, stay within 2e(R).  No regularity is assumed,
 so the bound holds on any graph.
 
+Before it branches, a general-d node drops every free vertex whose
+include child cannot beat the incumbent: one-step look-ahead, the
+failed-literal probing of SAT solvers.  A better completion adds at least
+need = incumbent - |chosen| + 1 free vertices, so an include child must
+keep need - 1, and may remove at most room = |free| - need + 1 free
+vertices, its own included.  Including u removes u; N(u) & free when u
+already has d chosen neighbours, since u saturates; and N(s) & free for
+every front s next to u, a chosen vertex with d - 1 chosen neighbours,
+which u saturates too.  When those removals exceed room, no completion
+holding u beats the incumbent, and u leaves free without a branch.  All
+such vertices leave at once: a completion that beats the incumbent holds
+none of them, so it is a completion of the node without them.  A vertex
+with fewer than d chosen neighbours touches at most d - 1 fronts, so
+fronts are tested in groups: a group condemns the free vertices next to
+all of its fronts when the fronts' free neighbourhoods together hold more
+than room vertices.  The test only gets easier to pass as the group
+grows, so no group that passes is extended.  At d=0 there are no fronts,
+and the rule is the maximum independent set rule: u leaves once
+|N(u) & free| >= room.  It is the same kind of reduction as those of Xiao
+and Kou for maximum dissociation sets (Theor. Comput. Sci. 2017).  The
+bound keeps the node's R, so every feasible completion still satisfies
+its inequality, but it adds up only the weights of the vertices left,
+since a completion that beats the incumbent holds no dropped vertex; a
+node left with fewer than need free vertices is pruned.
+
 ``solve`` and ``solve_kneser`` share one search path, one depth-first
 search in one process, which may start from a list of given states
 instead of the root.  ``solve_kneser`` adds what is only sound for
@@ -57,8 +82,10 @@ Root i includes the engine's branch vertex v_i once the orbits O_1..O_{i-1}
 of v_1..v_{i-1} are out of the free set; the last root is the endgame
 state left after them.  A set S holding xy that meets O_i first maps,
 under a permutation taking a vertex of S & O_i to v_i, onto an equally
-large set under root i: the permutation fixes xy and every orbit.  The
-roots are built only when a search runs.
+large set under root i: the permutation fixes xy and every orbit.  At
+d >= 2 root i is built from the state left after the drops, which holds
+every completion that beats the incumbent.  The roots are built only when
+a search runs.
 """
 
 from __future__ import annotations
@@ -239,38 +266,74 @@ def _deg1_closure(adj, state):
 
 
 def _degd_children(adj, d, state, incumbent):
-    """Include/exclude children, [] when the degree-counting bound prunes,
-    or None once nothing is undecided.
+    """Include/exclude children, [] when the degree-counting bound prunes
+    or the drops leave fewer than need free vertices, or None once nothing
+    is undecided.
 
-    One pass over R = free | chosen picks the branch vertex, the most
-    constrained free vertex: the most chosen neighbours c = r - du, then
-    the most free neighbours du, then the lowest index.  The same pass
-    collects what the bound in the module docstring needs: the weights
-    max(r, 2r - d) of the free vertices, and the slack 2e(R) minus the
-    chosen vertices' weights, which is the sum of r over the free vertices
-    plus d - r for each chosen vertex with r > d.  The weights hold
-    because each s of a completion S has at least max(r(s) - d, 0)
-    neighbours in R - S, and those edges are counted in the sum of r over
-    R - S, 2e(R) minus the sum of r over S.
+    One pass over R = free | chosen collects what the bound in the module
+    docstring needs: the weights max(r, 2r - d) of the free vertices left,
+    and the slack 2e(R) minus the chosen vertices' weights, which is the
+    sum of r over the free vertices plus d - r for each chosen vertex with
+    r > d.  The weights hold because each s of a completion S has at least
+    max(r(s) - d, 0) neighbours in R - S, and those edges are counted in
+    the sum of r over R - S, 2e(R) minus the sum of r over S.
+
+    The same pass drops the free vertices whose include child cannot beat
+    the incumbent (module docstring).  The chosen vertices' walk finds the
+    fronts and drops the free neighbours of each front with more than room
+    of them; groups of 2..d-1 fronts are tested next; the walk over the
+    free vertices left tests each vertex with d chosen neighbours, and the
+    dropped vertices add only their r to the slack.  The branch vertex is
+    the most constrained vertex left: the most chosen neighbours
+    c = r - du, then the most free neighbours du, then the lowest index.
+    Both children are built from the vertices left.
     """
     free, chosen = state
     need = incumbent - chosen.bit_count() + 1  # free vertices a better completion must add
-    if free.bit_count() < need:
+    size = free.bit_count()
+    if size < need:
         return []
     if not free:
         return None
+    # an include child that removes more than room free vertices, its own
+    # included, keeps fewer than need - 1
+    room = size - need + 1
     live = free | chosen
     slack = 0
-    m = chosen
+    left = free  # the free vertices not dropped
+    front = d - 1  # chosen neighbours of a front
+    grouped = d >= 3  # else no free vertex with room to join touches two fronts
+    front_free = []  # free neighbours of each front that drops nothing alone
+    one = two = 0  # free vertices next to at least one, two of those fronts
+    # at d=0 no chosen vertex has a neighbour in R
+    m = chosen if d else 0
     while m:
         lsb = m & -m
-        r = (adj[lsb.bit_length() - 1] & live).bit_count()
+        m ^= lsb
+        a = adj[lsb.bit_length() - 1]
+        r = (a & live).bit_count()
         if r > d:
             slack += d - r
+        if (a & chosen).bit_count() == front:
+            if r - front > room:
+                left &= ~a
+            elif grouped:
+                fs = a & free
+                front_free.append(fs)
+                two |= one & fs
+                one |= fs
+    # a group condemns only vertices next to two of its fronts or more
+    if two & left:
+        left = _front_groups(front_free, d - 1, room, left)
+    # vertices dropped so far count in 2e(R) and nowhere else
+    m = free & ~left
+    while m:
+        lsb = m & -m
         m ^= lsb
-    weights = []
+        slack += (adj[lsb.bit_length() - 1] & live).bit_count()
+    weights = []  # of the vertices left
     v, best_c, best_d = -1, -1, -1
-    m = free
+    m = left
     while m:
         lsb = m & -m
         u = lsb.bit_length() - 1
@@ -278,19 +341,81 @@ def _degd_children(adj, d, state, incumbent):
         a = adj[u]
         r = (a & live).bit_count()
         slack += r
-        weights.append(2 * r - d if r > d else r)
         du = (a & free).bit_count()
         c = r - du
-        if c > best_c or c == best_c and du > best_d:
-            best_c, best_d, v = c, du, u
-    # weights are nonnegative, so t >= need iff the need smallest weights
-    # fit in the slack
+        # no free vertex has more than d chosen neighbours, so every one
+        # with d gets past the first test
+        if c >= best_c:
+            if c == d:
+                # including u saturates u and every front next to it
+                if du >= room:
+                    left ^= lsb
+                    continue
+                if c:  # d >= 1; at d=0 no chosen vertex is a front
+                    # gone holds u once a front is found; without one it
+                    # is du vertices, fewer than room
+                    gone = a & free
+                    nb = a & chosen
+                    while nb:
+                        low = nb & -nb
+                        nb ^= low
+                        b = adj[low.bit_length() - 1]
+                        if (b & chosen).bit_count() == front:
+                            gone |= b & free
+                    if gone.bit_count() > room:
+                        left ^= lsb
+                        continue
+            if c > best_c or du > best_d:
+                best_c, best_d, v = c, du, u
+        weights.append(2 * r - d if r > d else r)
+    # a better completion takes need of the vertices left, and weights are
+    # nonnegative, so it needs the need smallest weights to fit in the slack
+    if len(weights) < need:
+        return []
     if need > 0:
         weights.sort()
         if sum(weights[:need]) > slack:
             return []
+    free = left
 
     return [_degd_include(adj, d, free, chosen, v), (free & ~(1 << v), chosen)]
+
+
+def _front_groups(front_free, largest, room, left):
+    """``left`` less every free vertex next to all fronts of a group of
+    2..``largest`` fronts whose free neighbourhoods cover more than room
+    vertices.
+
+    The test is monotone in the group, so a group that passes is not
+    extended, and only groups with a common neighbour in ``left`` are.
+    """
+    n = len(front_free)
+    for i in range(n - 1):
+        fi = front_free[i]
+        for j in range(i + 1, n):
+            both = fi & front_free[j]
+            if both and both & left:
+                union = fi | front_free[j]
+                if union.bit_count() > room:
+                    left &= ~both
+                elif largest > 2:
+                    left = _wider_groups(front_free, largest - 2, room, left, j + 1, both, union)
+    return left
+
+
+def _wider_groups(front_free, more, room, left, start, common, union):
+    """_front_groups past a pair: the group with the vertices ``common``
+    next to all its fronts and ``union`` next to any grows by up to
+    ``more`` fronts from ``start`` on."""
+    for j in range(start, len(front_free)):
+        both = common & front_free[j] & left
+        if both:
+            wider = union | front_free[j]
+            if wider.bit_count() > room:
+                left &= ~both
+            elif more > 1:
+                left = _wider_groups(front_free, more - 1, room, left, j + 1, both, wider)
+    return left
 
 
 def _degd_include(adj, d, free, chosen, v):

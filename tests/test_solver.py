@@ -388,10 +388,35 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             # the last root is the state where the engine's endgame applies
             assert engine_view(roots[-1]) == engine_view(state), (n, k, d)
             assert children_of(state, -1) is None, (n, k, d)
-            # an incumbent cuts the list short, never reorders it
             for incumbent in range(g.order + 1):
                 pruned = recorded[d](children_of, incumbent)
-                assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
+                if d == 1:
+                    # an incumbent cuts the list short, never reorders it
+                    assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
+                else:
+                    # the incumbent also decides which vertices leave before
+                    # the branch vertex is picked
+                    assert_roots_follow_engine(g.adj, children_of, start, types,
+                                               incumbent, pruned)
+
+
+def assert_roots_follow_engine(adj, children_of, start, types, incumbent, roots):
+    # each root is the engine's first child, under the incumbent, of the
+    # state left once the earlier roots' orbits are out; the list stops
+    # where the engine prunes, or with the endgame state
+    state, branched = start, set()
+    for i, r in enumerate(roots):
+        kids = children_of(state, incumbent)
+        if kids is None:
+            assert i == len(roots) - 1 and r == state, incumbent
+            return
+        assert kids and r == kids[0], incumbent
+        v = (r[-1] ^ state[-1]).bit_length() - 1
+        assert types[v] not in branched, incumbent
+        branched.add(types[v])
+        out = sum(1 << u for u in bits(state[0]) if types[u] == types[v])
+        state = (state[0] & ~out,) + state[1:]
+    assert children_of(state, incumbent) == [], incumbent
 
 
 def full_scan_branch_vertex(adj, free):
@@ -662,16 +687,18 @@ def test_general_d_free_vertices_can_always_join():
 
 
 # plain solve at d = 2, 3, one worker: (size, nodes, witness), recorded
-# from the general-d engine that branches on the most constrained vertex
+# from the general-d engine that drops the free vertices whose include
+# child cannot beat the incumbent, bounds with the weights of the vertices
+# left and branches on the most constrained of them
 DD_TRAVERSALS = {
-    ("K(7,2)", 2): (7, 927, 0x184F),
-    ("K(7,2)", 3): (10, 743, 0x99CF),
-    ("K(8,2)", 2): (7, 4261, 0x7F),
-    ("K(8,2)", 3): (10, 5529, 0x4638F),
-    ("K(9,2)", 2): (8, 7961, 0xFF),
-    ("K(9,2)", 3): (10, 32787, 0x21870F),
-    ("G(30,0.3) seed 5", 2): (14, 2481, 0xA2FC2D4),
-    ("G(30,0.3) seed 5", 3): (16, 8105, 0x12B96AF1),
+    ("K(7,2)", 2): (7, 577, 0x184F),
+    ("K(7,2)", 3): (10, 455, 0x99CF),
+    ("K(8,2)", 2): (7, 1955, 0x7F),
+    ("K(8,2)", 3): (10, 2475, 0x4638F),
+    ("K(9,2)", 2): (8, 3255, 0xFF),
+    ("K(9,2)", 3): (10, 10571, 0x21870F),
+    ("G(30,0.3) seed 5", 2): (14, 1883, 0xA2FC2D4),
+    ("G(30,0.3) seed 5", 3): (16, 6149, 0x12B96AF1),
 }
 
 
@@ -763,3 +790,53 @@ def test_general_d_bound_is_never_weaker():
                 assert solver_module._degd_children(adj, d, state, bound) == [], (g.order, d)
                 tighter += solver_module._degd_children(adj, d, state, bound - 1) == []
     assert tighter > 0
+
+
+def dropped_vertices(state, kids):
+    """The free vertices a general-d node left out of both children: every
+    free vertex is in the exclude child's free set or is its branch vertex,
+    unless it was dropped."""
+    branch = kids[0][1] ^ state[1]
+    return state[0] & ~(kids[1][0] | branch)
+
+
+def test_general_d_drops_only_vertices_that_cannot_beat_the_incumbent():
+    # under a range of incumbents, every free vertex a node drops before it
+    # branches has an include child that keeps fewer than need - 1 free
+    # vertices, so no completion holding it beats the incumbent; a node
+    # that prunes has no completion that does
+    rng = random.Random(37)
+    graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
+        random_graph(rng.randint(6, 12), (0.2, 0.4, 0.6, 0.8)[i % 4], rng) for i in range(12)
+    ]
+    drops = set()
+    for g in graphs:
+        adj = g.adj
+        for d in (0, 2, 3, 4):
+            for state, _ in unpruned_states(adj, d):
+                free, chosen = state
+                best = largest_completion(adj, d, state)
+                for incumbent in range(chosen.bit_count(), best + 2):
+                    kids = solver_module._degd_children(adj, d, state, incumbent)
+                    if kids is None:
+                        continue
+                    if kids == []:
+                        assert best <= incumbent, (g.order, d)
+                        continue
+                    need = incumbent - chosen.bit_count() + 1
+                    for u in bits(dropped_vertices(state, kids)):
+                        child = solver_module._degd_include(adj, d, free, chosen, u)
+                        assert child[0].bit_count() < need - 1, (g.order, d, incumbent)
+                        assert largest_completion(adj, d, child) <= incumbent, (g.order, d)
+                        drops.add(d)
+    assert drops == {0, 2, 3, 4}
+
+
+def test_general_d_matches_brute_force_on_random_graphs():
+    rng = random.Random(41)
+    for i in range(200):
+        g = random_graph(rng.randint(5, 16), (0.2, 0.35, 0.5, 0.65, 0.8)[i % 5], rng)
+        for d in (0, 2, 3):
+            res = solve(g, d)
+            assert res.optimal and res.best_size == brute_force(g, d), (i, g.order, d)
+            assert check_max_degree(g, res.witness, d)
