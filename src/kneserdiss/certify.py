@@ -75,12 +75,18 @@ X_SIDE_CAP = 10_000
 
 
 def find_x_matching(x_side, y_side, edges) -> MatchingResult:
-    """Augmenting-path matching saturating X, or an explicit Hall violator."""
+    """Augmenting-path matching saturating X, or an explicit Hall violator.
+
+    The X vertices must be distinct.  The first x0 with no augmenting path
+    gives the violator: x0 and the partners of the y's its search saw.
+    """
     xs = list(x_side)
     if len(xs) > X_SIDE_CAP:
         raise CapacityError(f"matching capped at |X| <= {X_SIDE_CAP}")
     ys = set(y_side)
     nbr: dict = {x: [] for x in xs}
+    if len(nbr) < len(xs):
+        raise DomainError("X vertices must be distinct")
     for x, y in edges:
         if x not in nbr or y not in ys:
             raise DomainError(f"edge ({x!r},{y!r}) off the bipartition")
@@ -89,10 +95,9 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
 
     match_y: dict = {}  # y -> x
 
-    def try_augment(x0) -> bool:
+    def try_augment(x0, seen_y) -> bool:
         # depth-first search for an augmenting path from x0 on an explicit
         # stack: paths can be as long as X is, far past the recursion limit
-        seen_y = set()
         stack = [(x0, iter(nbr[x0]))]
         path = []  # path[i]: the y that stack[i]'s x tries
         while stack:
@@ -115,32 +120,18 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
             stack.append((partner, iter(nbr[partner])))
         return False
 
-    unmatched = [x for x in xs if not try_augment(x)]
-
-    if not unmatched:
-        match_x = {x: y for y, x in match_y.items()}
-        return MatchingResult(matching=tuple((x, match_x[x]) for x in xs))
-
-    # alternating reachability from an unsaturated x gives the violator
-    x0 = unmatched[0]
-    w = {x0}
-    reached_y: set = set()
-    frontier = [x0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in nbr[x]:
-                if y in reached_y:
-                    continue
-                reached_y.add(y)
-                partner = match_y.get(y)
-                if partner is not None and partner not in w:
-                    w.add(partner)
-                    nxt.append(partner)
-        frontier = nxt
-    if len(reached_y) >= len(w):
-        raise AssertionError("matching bookkeeping broken: violator is not one")
-    return MatchingResult(violator=frozenset(w))
+    for x0 in xs:
+        seen_y: set = set()
+        if not try_augment(x0, seen_y):
+            # a failed search tried every neighbour of each x it reached, so
+            # those x's have only the matched y's it saw as neighbours, one
+            # fewer than the x's
+            w = {x0} | {match_y[y] for y in seen_y}
+            if len(set().union(*(nbr[x] for x in w))) >= len(w):
+                raise AssertionError("matching bookkeeping broken: violator is not one")
+            return MatchingResult(violator=frozenset(w))
+    match_x = {x: y for y, x in match_y.items()}
+    return MatchingResult(matching=tuple((x, match_x[x]) for x in xs))
 
 
 def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[KneserGraph, int, int]:
@@ -237,8 +228,8 @@ class CyclicArrangement:
 
     def __post_init__(self):
         n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise DomainError("order must be a permutation of [n]")
+        if not n or sorted(self.order) != list(range(1, n + 1)):
+            raise DomainError("order must be a permutation of [n], n >= 1")
         if self.order[0] != 1:
             raise DomainError("normalized arrangements start with element 1")
 

@@ -50,8 +50,6 @@ class GenericGraph:
 
     order: int
     adj: tuple[int, ...]
-    # for induced subgraphs: position i holds the vertex index in the parent
-    parent_index: tuple[int, ...] | None = field(default=None, compare=False)
     # every vertex as a bitset, set once by __post_init__
     full_mask: int = field(init=False, repr=False, compare=False)
 
@@ -89,7 +87,8 @@ def graph_from_edges(order: int, edges) -> GenericGraph:
 
 
 def induced_subgraph(g: GenericGraph, s: int) -> GenericGraph:
-    """Subgraph induced by the vertex bitset ``s``, with an index map back to g."""
+    """Subgraph induced by the vertex bitset ``s``; vertex i is the i-th
+    lowest vertex of ``s``."""
     if s >> g.order:
         raise DomainError("vertex set is not a subset of the graph")
     keep = list(bits(s))
@@ -100,7 +99,7 @@ def induced_subgraph(g: GenericGraph, s: int) -> GenericGraph:
         for u in bits(g.adj[v] & s):
             row |= 1 << pos[u]
         adj.append(row)
-    return GenericGraph(order=len(keep), adj=tuple(adj), parent_index=tuple(keep))
+    return GenericGraph(order=len(keep), adj=tuple(adj))
 
 
 def write_dimacs(g: GenericGraph) -> str:

@@ -43,13 +43,17 @@ every front s next to u, a chosen vertex with d - 1 chosen neighbours,
 which u saturates too.  When those removals exceed room, no completion
 holding u beats the incumbent, and u leaves free without a branch.  All
 such vertices leave at once: a completion that beats the incumbent holds
-none of them, so it is a completion of the node without them.  A vertex
-with fewer than d chosen neighbours touches at most d - 1 fronts, so
-fronts are tested in groups: a group condemns the free vertices next to
-all of its fronts when the fronts' free neighbourhoods together hold more
-than room vertices.  The test only gets easier to pass as the group
-grows, so no group that passes is extended.  At d=0 there are no fronts,
-and the rule is the maximum independent set rule: u leaves once
+none of them, so it is a completion of the node without them.  A node
+finds its fronts once, as one bitset.  A vertex with fewer than d chosen
+neighbours touches at most d - 1 fronts, so fronts are tested in groups:
+a group condemns the free vertices next to all of its fronts when the
+fronts' free neighbourhoods together hold more than room vertices.  A
+group of one that passes condemns more than room vertices and leaves
+fewer than need, so the node is pruned.  The test only gets easier to
+pass as the group grows, so no group that passes is extended.  A vertex
+with d chosen neighbours is tested alone, with its own free neighbours
+and those of the fronts next to it.  At d=0 there are no fronts, and the
+rule is the maximum independent set rule: u leaves once
 |N(u) & free| >= room.  It is the same kind of reduction as those of Xiao
 and Kou for maximum dissociation sets (Theor. Comput. Sci. 2017).  The
 bound keeps the node's R, so every feasible completion still satisfies
@@ -279,14 +283,16 @@ def _degd_children(adj, d, state, incumbent):
     the sum of r over R - S, 2e(R) minus the sum of r over S.
 
     The same pass drops the free vertices whose include child cannot beat
-    the incumbent (module docstring).  The chosen vertices' walk finds the
-    fronts and drops the free neighbours of each front with more than room
-    of them; groups of 2..d-1 fronts are tested next; the walk over the
-    free vertices left tests each vertex with d chosen neighbours, and the
-    dropped vertices add only their r to the slack.  The branch vertex is
-    the most constrained vertex left: the most chosen neighbours
-    c = r - du, then the most free neighbours du, then the lowest index.
-    Both children are built from the vertices left.
+    the incumbent (module docstring).  The chosen vertices' walk collects
+    the fronts as one bitset and prunes the node at a front with more than
+    room free neighbours; groups of 2..d-1 fronts are tested next, by one
+    search from the empty group; the walk over the free vertices left
+    tests each vertex with d chosen neighbours against its free neighbours
+    and those of the fronts next to it, and the dropped vertices add only
+    their r to the slack.  The branch vertex is the most constrained vertex
+    left: the most chosen neighbours c = r - du, then the most free
+    neighbours du, then the lowest index.  Both children are built from the
+    vertices left.
     """
     free, chosen = state
     need = incumbent - chosen.bit_count() + 1  # free vertices a better completion must add
@@ -300,11 +306,11 @@ def _degd_children(adj, d, state, incumbent):
     room = size - need + 1
     live = free | chosen
     slack = 0
-    left = free  # the free vertices not dropped
     front = d - 1  # chosen neighbours of a front
+    fronts = 0  # bitset of the fronts
     grouped = d >= 3  # else no free vertex with room to join touches two fronts
-    front_free = []  # free neighbours of each front that drops nothing alone
-    one = two = 0  # free vertices next to at least one, two of those fronts
+    front_free = []  # free neighbours of each front, for the group test
+    one = two = 0  # free vertices next to at least one, two fronts
     # at d=0 no chosen vertex has a neighbour in R
     m = chosen if d else 0
     while m:
@@ -315,22 +321,26 @@ def _degd_children(adj, d, state, incumbent):
         if r > d:
             slack += d - r
         if (a & chosen).bit_count() == front:
+            # a front with more than room free neighbours condemns them
+            # all, which leaves fewer than need
             if r - front > room:
-                left &= ~a
-            elif grouped:
+                return []
+            fronts |= lsb
+            if grouped:
                 fs = a & free
                 front_free.append(fs)
                 two |= one & fs
                 one |= fs
+    left = free  # the free vertices not dropped
     # a group condemns only vertices next to two of its fronts or more
-    if two & left:
-        left = _front_groups(front_free, d - 1, room, left)
-    # vertices dropped so far count in 2e(R) and nowhere else
-    m = free & ~left
-    while m:
-        lsb = m & -m
-        m ^= lsb
-        slack += (adj[lsb.bit_length() - 1] & live).bit_count()
+    if two:
+        left = _wider_groups(front_free, d - 1, room, left, 0, left, 0)
+        # vertices dropped so far count in 2e(R) and nowhere else
+        m = free & ~left
+        while m:
+            lsb = m & -m
+            m ^= lsb
+            slack += (adj[lsb.bit_length() - 1] & live).bit_count()
     weights = []  # of the vertices left
     v, best_c, best_d = -1, -1, -1
     m = left
@@ -351,17 +361,13 @@ def _degd_children(adj, d, state, incumbent):
                 if du >= room:
                     left ^= lsb
                     continue
-                if c:  # d >= 1; at d=0 no chosen vertex is a front
-                    # gone holds u once a front is found; without one it
-                    # is du vertices, fewer than room
+                nb = a & fronts
+                if nb:
                     gone = a & free
-                    nb = a & chosen
                     while nb:
                         low = nb & -nb
                         nb ^= low
-                        b = adj[low.bit_length() - 1]
-                        if (b & chosen).bit_count() == front:
-                            gone |= b & free
+                        gone |= adj[low.bit_length() - 1] & free
                     if gone.bit_count() > room:
                         left ^= lsb
                         continue
@@ -381,32 +387,17 @@ def _degd_children(adj, d, state, incumbent):
     return [_degd_include(adj, d, free, chosen, v), (free & ~(1 << v), chosen)]
 
 
-def _front_groups(front_free, largest, room, left):
-    """``left`` less every free vertex next to all fronts of a group of
-    2..``largest`` fronts whose free neighbourhoods cover more than room
-    vertices.
+def _wider_groups(front_free, more, room, left, start, common, union):
+    """``left`` less every free vertex next to all fronts of a group whose
+    free neighbourhoods together hold more than room vertices.
 
-    The test is monotone in the group, so a group that passes is not
+    The group so far has ``common`` next to all of its fronts and ``union``
+    next to any; it grows by up to ``more`` fronts of ``front_free`` from
+    ``start`` on.  From the empty group (``common`` = ``left``, ``union`` =
+    0) every group of up to ``more`` fronts is tested.  The test only gets
+    easier to pass as a group grows, so a group that passes is not
     extended, and only groups with a common neighbour in ``left`` are.
     """
-    n = len(front_free)
-    for i in range(n - 1):
-        fi = front_free[i]
-        for j in range(i + 1, n):
-            both = fi & front_free[j]
-            if both and both & left:
-                union = fi | front_free[j]
-                if union.bit_count() > room:
-                    left &= ~both
-                elif largest > 2:
-                    left = _wider_groups(front_free, largest - 2, room, left, j + 1, both, union)
-    return left
-
-
-def _wider_groups(front_free, more, room, left, start, common, union):
-    """_front_groups past a pair: the group with the vertices ``common``
-    next to all its fronts and ``union`` next to any grows by up to
-    ``more`` fronts from ``start`` on."""
     for j in range(start, len(front_free)):
         both = common & front_free[j] & left
         if both:

@@ -87,6 +87,13 @@ def test_matching_pigeonhole_violator():
     assert res.violator == {"a", "b"}
 
 
+def test_matching_rejects_repeated_x_vertices():
+    # a repeated x once came back matched twice, or broke the violator
+    for xs in (["a", "a"], ["a", "a", "a"]):
+        with pytest.raises(DomainError):
+            find_x_matching(xs, ["b", "c"], [("a", "b"), ("a", "c")])
+
+
 def test_matching_long_augmenting_paths():
     # x_i sees y_{i-1} then y_i, and x_0 sees only y_0.  x_1..x_{n-1} take
     # their first choice; x_0, last, then needs a path through all of them
@@ -288,6 +295,12 @@ def test_arrangement_normalization():
     assert len(list(all_arrangements(5))) == 24
     with pytest.raises(CapacityError):
         list(all_arrangements(10))
+
+
+def test_arrangement_rejects_the_empty_order():
+    # the empty order once raised IndexError from its first element
+    with pytest.raises(DomainError):
+        CyclicArrangement(order=())
 
 
 def test_window_masks_roll_like_the_definition():

@@ -338,7 +338,6 @@ def test_induced_subgraph_kneser_restriction():
     # the restriction is a copy of K(6,3): a perfect matching on 20 vertices
     assert h.order == 20
     assert all(h.degree(v) == 1 for v in range(h.order))
-    assert h.parent_index is not None and len(h.parent_index) == 20
 
 
 def test_full_mask_is_computed_once():

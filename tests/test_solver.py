@@ -832,6 +832,68 @@ def test_general_d_drops_only_vertices_that_cannot_beat_the_incumbent():
     assert drops == {0, 2, 3, 4}
 
 
+def rule_drops(adj, d, state, room):
+    """The free vertices the per-vertex drop rule of the solver's module
+    docstring removes, read off each vertex: u goes when {u}, plus its free
+    neighbours if it has d chosen neighbours, plus the free neighbours of
+    each front next to it (a chosen vertex with d - 1 chosen neighbours),
+    holds more than room vertices."""
+    free, chosen = state
+    out = 0
+    for u in bits(free):
+        gone = 1 << u
+        if (adj[u] & chosen).bit_count() == d:
+            gone |= adj[u] & free
+        for s in bits(adj[u] & chosen):
+            if (adj[s] & chosen).bit_count() == d - 1:
+                gone |= adj[s] & free
+        if gone.bit_count() > room:
+            out |= 1 << u
+    return out
+
+
+def test_general_d_drops_exactly_the_per_vertex_rule():
+    # under every incumbent from |chosen| to |chosen| + |free|, a node that
+    # branches drops exactly the free vertices of the per-vertex rule, so
+    # finding fronts and searching groups of them loses none.  A front with
+    # more than room free neighbours condemns them all and leaves fewer
+    # than need, so such a node prunes
+    rng = random.Random(43)
+    graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
+        random_graph(rng.randint(6, 12), (0.2, 0.4, 0.6, 0.8)[i % 4], rng) for i in range(12)
+    ]
+    seen = set()
+    for g in graphs:
+        adj = g.adj
+        for d in (0, 2, 3, 4, 5):
+            for state, _ in unpruned_states(adj, d):
+                free, chosen = state
+                fronts = [s for s in bits(chosen) if (adj[s] & chosen).bit_count() == d - 1]
+                for incumbent in range(chosen.bit_count(), chosen.bit_count() + free.bit_count() + 1):
+                    kids = solver_module._degd_children(adj, d, state, incumbent)
+                    room = free.bit_count() - (incumbent - chosen.bit_count())
+                    if any((adj[s] & free).bit_count() > room for s in fronts):
+                        assert kids == [], (g.order, d, incumbent)
+                    if not kids:
+                        continue
+                    dropped = rule_drops(adj, d, state, room)
+                    assert dropped_vertices(state, kids) == dropped, (g.order, d, incumbent)
+                    for u in bits(dropped):
+                        # below d chosen neighbours only a group drops u,
+                        # since a single front prunes the node
+                        if (adj[u] & chosen).bit_count() < d:
+                            seen.add((d, "group"))
+                        elif (adj[u] & free).bit_count() >= room:
+                            seen.add((d, "saturated"))
+                        else:
+                            seen.add((d, "saturated next to fronts"))
+    # every kind of drop occurs; at d >= 4 no vertex of these graphs with d
+    # chosen neighbours has room free ones
+    assert {(d, "saturated") for d in (0, 2, 3)} <= seen
+    assert {(d, "saturated next to fronts") for d in (2, 3, 4, 5)} <= seen
+    assert {(d, "group") for d in (3, 4, 5)} <= seen
+
+
 def test_general_d_matches_brute_force_on_random_graphs():
     rng = random.Random(41)
     for i in range(200):
