@@ -15,7 +15,7 @@ from itertools import permutations
 from math import comb, factorial
 from types import MappingProxyType
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, require_int
 from .graphs import GenericGraph, bits, mask_of
 from .kneser import KneserGraph, KSubset, build_kneser
 
@@ -25,8 +25,7 @@ ODD_CENTER_CAP = 24  # odd_expansion_violator checks all 2^c - 1 sets L
 
 def check_max_degree(g: GenericGraph, s, d: int) -> bool:
     """True iff every vertex of s has at most d neighbors inside s."""
-    if d < 0:
-        raise DomainError("d must be nonnegative")
+    require_int("d", d, 0)
     mask = s if isinstance(s, int) else mask_of(s)
     if mask >> g.order:
         raise DomainError("s is not a subset of the vertex set")
@@ -47,11 +46,8 @@ def check_p3_cover(g: GenericGraph, cover) -> bool:
         raise DomainError("cover is not a subset of the vertex set")
     rest = g.full_mask & ~mask
     for v in bits(rest):
-        deg = 0
-        for u in bits(g.adj[v] & rest):
-            deg += 1
-            if deg >= 2:
-                return False
+        if (g.adj[v] & rest).bit_count() >= 2:
+            return False
     return True
 
 

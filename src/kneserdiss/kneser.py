@@ -171,7 +171,8 @@ def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
 
     Members are element tuples on a Kneser graph, whose n and k the
     certificate must match when it names them, or 1-based vertex indices
-    on any graph.
+    on any graph.  A vertex named twice is an error, so the set's size is
+    the certificate's length.
     """
     if isinstance(g, KneserGraph) and not (cert.n in (None, g.n) and cert.k in (None, g.k)):
         raise DomainError(f"certificate names n={cert.n} k={cert.k}, graph is K({g.n},{g.k})")
@@ -180,11 +181,14 @@ def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
         if isinstance(member, tuple):
             if not isinstance(g, KneserGraph):
                 raise DomainError("element-list certificate needs a Kneser graph")
-            mask |= 1 << g.vertex_index(member)
+            bit = 1 << g.vertex_index(member)
         elif 1 <= member <= g.order:
-            mask |= 1 << (member - 1)
+            bit = 1 << (member - 1)
         else:
             raise DomainError(f"vertex index {member} out of range")
+        if mask & bit:
+            raise DomainError(f"certificate names vertex {member} twice")
+        mask |= bit
     return mask
 
 

@@ -72,10 +72,10 @@ edge-transitive some optimum holds xy.  So diss_d = max(alpha, the
 largest set holding xy).  The start's free set is what the include rule
 leaves after including x and then y.  At d=1 that is M, the common
 non-neighbours of x and y, so diss = max(alpha, 2 + diss(K[M])); the seed
-is the best known construction, and the search stops at the bound
-report's upper end.  At d >= 2 no vertex leaves: x and y have one chosen
-neighbour each, fewer than d, and every other vertex at most two, so the
-free set is V - {x, y}; the seed is the larger of a center (alpha
+is the best known construction, and no search runs once it meets the
+bound report's upper end.  At d >= 2 no vertex leaves: x and y have one
+chosen neighbour each, fewer than d, and every other vertex at most two,
+so the free set is V - {x, y}; the seed is the larger of a center (alpha
 vertices, Erdos-Ko-Rado) and the greedy set.  At d=0 the center meets the
 Erdos-Ko-Rado bound, so no search runs.
 
@@ -89,7 +89,9 @@ under a permutation taking a vertex of S & O_i to v_i, onto an equally
 large set under root i: the permutation fixes xy and every orbit.  At
 d >= 2 root i is built from the state left after the drops, which holds
 every completion that beats the incumbent.  The roots are built only when
-a search runs.
+a search runs.  The state left after root i keeps the counters of its
+exclude child, caught up on the free set before O_i left, so the d=1
+counters subtract each orbit's rows once.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ from functools import partial
 
 from . import bounds
 from .certify import check_max_degree
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, require_int
 from .graphs import GenericGraph, bits
 from .kneser import KneserGraph, build_kneser
 
@@ -121,12 +123,13 @@ class SearchBudget:
     thread_count: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.thread_count <= MAX_THREADS:
-            raise DomainError(f"thread_count must be in [1, {MAX_THREADS}]")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise DomainError("max_nodes must be >= 1")
-        if self.max_time is not None and not self.max_time > 0:  # NaN too
-            raise DomainError("max_time must be positive")
+        require_int("thread_count", self.thread_count, 1, MAX_THREADS)
+        if self.max_nodes is not None:
+            require_int("max_nodes", self.max_nodes, 1)
+        t = self.max_time
+        if t is not None and (isinstance(t, bool) or not isinstance(t, (int, float))
+                              or not t > 0):  # NaN too
+            raise DomainError(f"max_time must be a positive number of seconds, got {t!r}")
 
 
 UNLIMITED = SearchBudget()
@@ -240,8 +243,9 @@ def _deg1_children(adj, state, incumbent):
         nbf = adj[v] & free
         nfree = free & ~vbit & ~(nbf & seen)
         out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), free, layers, chosen | vbit))
-    elif ku.bit_count() == 1:
-        # v pairs up with its unique unsaturated neighbor; both saturate
+    else:
+        # v pairs up with its unsaturated neighbor, the only chosen one a
+        # free vertex can have; both saturate
         u = ku.bit_length() - 1
         nfree = free & ~vbit & ~adj[v] & ~adj[u]
         out.append((nfree, unsat & ~ku, seen & nfree, free, layers, chosen | vbit))
@@ -446,35 +450,32 @@ def _degd_closure(state):
 # ---------------------------------------------------------------------------
 
 
-def _start_state(adj, d, free, chosen):
-    """The engine's state with ``free`` undecided and ``chosen`` in; every
-    free vertex can join and every chosen vertex has a chosen neighbour."""
-    if d == 1:
-        return free, 0, 0, free, _free_degree_layers(adj, free), chosen
-    return free, chosen
-
-
 def _engine(adj, d):
-    """(root, children, closure) for d.
+    """(start, children, closure) for d, the one place that picks an engine.
 
-    ``root`` leaves every vertex undecided.  ``children(state, incumbent)``
-    returns [] when the node's bound is at most ``incumbent``, None at the
-    endgame, and the include-first children otherwise; ``closure(state)``
-    gives the witness of the endgame's exact optimum.
+    ``start(free, chosen)`` builds the state with ``free`` undecided and
+    ``chosen`` in, where every free vertex can join and, at d=1, every
+    chosen vertex has a chosen neighbour; no other code builds a state
+    anew.  ``children(state, incumbent)`` returns [] when the node's bound
+    is at most ``incumbent``, None at the endgame, and the include-first
+    children otherwise; ``closure(state)`` gives the witness of the
+    endgame's exact optimum.
     """
-    root = _start_state(adj, d, (1 << len(adj)) - 1, 0)
     if d == 1:
-        return root, partial(_deg1_children, adj), partial(_deg1_closure, adj)
-    return root, partial(_degd_children, adj, d), _degd_closure
+        def start(free, chosen):
+            return free, 0, 0, free, _free_degree_layers(adj, free), chosen
+        return start, partial(_deg1_children, adj), partial(_deg1_closure, adj)
+    return (lambda free, chosen: (free, chosen)), partial(_degd_children, adj, d), _degd_closure
 
 
-def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, stop_at):
+def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline):
     """Depth-first search from ``roots``, the first on top; (witness, nodes, completed).
 
     ``witness`` is the seed: its size primes pruning, and it comes back
     unless the search builds a larger set, so the result is always a real
     set.  The incumbent and the limits, numbers that are math.inf when
-    unset, carry across roots.
+    unset, carry across roots.  Only the limits stop a search early: a
+    bound that closes the instance does so before the search, in _solve.
     """
     incumbent = witness.bit_count()
     nodes = 0
@@ -489,8 +490,6 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline, st
             if nodes > max_nodes or time.monotonic() > deadline:
                 return witness, nodes, False
             limit = min(nodes + _DEADLINE_INTERVAL - 1, max_nodes)
-        if incumbent >= stop_at:
-            break
         kids = children_of(state, incumbent)
         if kids is None:
             wit = closure_of(state)
@@ -511,13 +510,15 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     ``seed_witness`` None takes the greedy set.  The seed primes pruning and
     is the answer unless the search builds a larger set.  Unset limits
     become math.inf, and the one search counts every node, so a node budget
-    holds exactly.  ``roots`` None searches from the engine's root;
-    otherwise ``roots(children, seed size)`` gives the states to search
-    from.  A seed that reaches ``stop_at`` is optimal by the bound, and no
-    search runs and ``roots`` is not called.
+    holds exactly.  ``roots`` None searches from the root ``start`` builds
+    with every vertex undecided; otherwise ``roots(start, children, seed
+    size)`` gives the states to search from.  A seed that reaches
+    ``stop_at`` is optimal by the bound: no engine is built, no search runs
+    and ``roots`` is not called.  Otherwise the search runs to the end or
+    the budget, and a witness that reaches ``stop_at`` is optimal by the
+    bound even when the budget cut the search.
     """
-    if d < 0:
-        raise DomainError("d must be nonnegative")
+    require_int("d", d, 0)
     budget = budget or UNLIMITED
     adj = g.adj
     if seed_witness is None:
@@ -529,10 +530,11 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     witness, nodes, completed = seed_witness, 0, True
     seed_size = seed_witness.bit_count()
     if seed_size < stop_at:
-        root, children_of, closure_of = _engine(adj, d)
-        starts = [root] if roots is None else roots(children_of, seed_size)
+        start, children_of, closure_of = _engine(adj, d)
+        starts = ([start(g.full_mask, 0)] if roots is None
+                  else roots(start, children_of, seed_size))
         witness, nodes, completed = _run_search(children_of, closure_of, starts, seed_witness,
-                                                max_nodes, deadline, stop_at)
+                                                max_nodes, deadline)
 
     best = witness.bit_count()
     optimal, source = completed, None
@@ -588,13 +590,12 @@ def solve_kneser(
     At every d >= 1 the search starts with the edge {1..k}, {k+1..2k}
     chosen and branches on orbits of its stabilizer, from a seed as large
     as any independent set (the module docstring says why that is sound).
-    The d=1 seed is the best known construction, and the search stops once
+    The d=1 seed is the best known construction, and no search runs once
     it meets the bound interval's upper end.  The d >= 2 seed is the larger
     of a center and the greedy set.  For d=0 the center meets the
     Erdos-Ko-Rado bound, so no search runs.
     """
-    if d < 0:  # before the build, which may be large
-        raise DomainError("d must be nonnegative")
+    require_int("d", d, 0)  # before the build, which may be large
     g = build_kneser(n, k)
     if d == 0:
         # Erdos-Ko-Rado: a center is a maximum independent set
@@ -634,18 +635,21 @@ def _edge_type_layers(g: KneserGraph) -> list[list[int]]:
     return out
 
 
-def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> list[tuple]:
+def _edge_orbit_roots(g: KneserGraph, d: int, start, children_of,
+                      incumbent: int) -> list[tuple]:
     """solve_kneser's roots at d >= 1 (the module docstring says why).
 
     Each root is the engine's include child of the state left so far, and
-    then its branch vertex's orbit leaves the free set.  The endgame state
-    is the last root, unless the bound prunes against ``incumbent`` first.
+    then its branch vertex's orbit leaves the free set.  The state left goes
+    on from the exclude child's other entries: the same chosen set, and at
+    d=1 counters caught up on the current free set, so each orbit's rows
+    are subtracted once.  The endgame state is the last root, unless the
+    bound prunes against ``incumbent`` first.
     """
     k, adj = g.k, g.adj
     y = g.vertex_index(range(k + 1, 2 * k + 1))
     # the free set the include rule leaves after x and then y (module docstring)
-    free, edge = _degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, 0), y)
-    state = _start_state(adj, d, free, edge)
+    state = start(*_degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, 0), y))
     xs, ys = _edge_type_layers(g)
     low = (1 << k) - 1
     roots = []
@@ -656,7 +660,7 @@ def _edge_orbit_roots(g: KneserGraph, d: int, children_of, incumbent: int) -> li
         v = (kids[0][-1] ^ state[-1]).bit_length() - 1
         m = g.vertices[v].mask
         a, b = (m & low).bit_count(), (m >> k & low).bit_count()
-        state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + state[1:]
+        state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + kids[-1][1:]
     if kids is None:
         roots.append(state)
     return roots
@@ -670,8 +674,7 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
     """
     if g.order > cap:
         raise CapacityError(f"brute force capped at {cap} vertices")
-    if d < 0:
-        raise DomainError("d must be nonnegative")
+    require_int("d", d, 0)
     adj = g.adj
     order = g.order
     best = 0

@@ -361,3 +361,12 @@ def test_report_size_cap():
     assert "edge_local" not in {b.name for b in report(4 * k + 4, k + 1).upper_bounds}
     with pytest.raises(CapacityError):
         edge_local_upper(4 * k + 4, k + 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: alpha_dominance_threshold(1),
+    lambda: alpha_equality_lower(1),
+])
+def test_k_below_two_rejected(call):
+    with pytest.raises(DomainError):
+        call()

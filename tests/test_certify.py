@@ -390,3 +390,21 @@ def test_family_validation():
         substrings_in_arrangement(
             CyclicArrangement(order=(1, 2, 3, 4)), [(1, 2, 3)], 2
         )
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: check_max_degree(build_kneser(5, 2), 1 << 10, 1), DomainError),
+    (lambda: check_p3_cover(build_kneser(5, 2), 1 << 10), DomainError),
+    (lambda: certify_module.MatchingResult(), DomainError),
+    (lambda: certify_module.MatchingResult(matching=(), violator=frozenset()), DomainError),
+    (lambda: find_x_matching(range(certify_module.X_SIDE_CAP + 1), [], []), CapacityError),
+    (lambda: find_x_matching([1], [2], [(1, 3)]), DomainError),
+    (lambda: find_x_matching([1], [2], [(3, 2)]), DomainError),
+    (lambda: odd_neighborhood(1, [(3,)]), DomainError),
+    (lambda: CyclicArrangement((1, 2, 3)).window_masks(0), DomainError),
+    (lambda: CyclicArrangement((1, 2, 3)).window_masks(4), DomainError),
+    (lambda: list(all_arrangements(0)), DomainError),
+])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()

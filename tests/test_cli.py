@@ -214,6 +214,21 @@ def test_verify_kneser_json_graph(tmp_path, capsys):
     assert err.startswith("error:") and "{1,1,2}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("form", ["kneser", "dimacs"])
+def test_verify_repeated_member_exit_2(form, tmp_path, capsys):
+    # a vertex named twice would let a certificate claim more vertices than
+    # its set holds
+    code, out, _ = run(capsys, "gen", "5", "2", "--format", "json" if form == "kneser" else "dimacs")
+    graph = tmp_path / "petersen"
+    graph.write_text(out)
+    members = [[1, 2], [1, 2], [2, 1]] if form == "kneser" else [1, 1, 1]
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"n": 5, "k": 2, "d": 1, "set": members}))
+    code, out, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2 and out == ""
+    assert "twice" in err and "Traceback" not in err
+
+
 def test_verify_malformed_json_exit_2(petersen_files, capsys, tmp_path):
     graph, _ = petersen_files
     bad = tmp_path / "bad.json"
@@ -416,3 +431,10 @@ def test_reproduce_detects_a_dropped_window(capsys, monkeypatch):
     assert code == 1
     assert "mismatch" in out
 
+
+
+@pytest.mark.parametrize("text, seconds", [
+    ("1h", 3600.0), ("5m", 300.0), ("600s", 600.0), (" 2.5 ", 2.5), ("1H", 3600.0),
+])
+def test_durations_parse_every_unit(text, seconds):
+    assert cli_module._parse_duration(text) == seconds

@@ -465,3 +465,29 @@ def test_build_needs_no_numpy():
     )
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: graph_from_edges(3, [(1, 1)]),
+    lambda: graph_from_edges(3, [(0, 3)]),
+    lambda: graph_from_edges(3, [(-1, 0)]),
+    lambda: induced_subgraph(graph_from_edges(3, [(0, 1)]), 1 << 3),
+])
+def test_graph_input_checks(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call, expect", [
+    (lambda: kneser_module.KSubset(0, kneser_module.MAX_GROUND_SET + 1), CapacityError),
+    (lambda: kneser_module.KSubset(1 << 5, 5), DomainError),
+    (lambda: kneser_module.KSubset(-1, 5), DomainError),
+    (lambda: repr(kneser_module.KSubset(0b1011, 5)), "{1,2,4}"),
+    (lambda: repr(kneser_module.KSubset(0, 5)), "{}"),
+])
+def test_ksubset_caps_and_repr(call, expect):
+    if isinstance(expect, str):
+        assert call() == expect
+    else:
+        with pytest.raises(expect):
+            call()

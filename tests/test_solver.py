@@ -154,6 +154,42 @@ def test_budget_rejects_limits_that_cannot_run():
     assert SearchBudget(thread_count=cap).thread_count == cap >= 4
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: solve(g, 1.5),
+    lambda g: solve(g, True),
+    lambda g: solve_kneser(5, 2, 1.5),
+    lambda g: solve_kneser(5, 2, True),
+    lambda g: psi3(g, SearchBudget(max_nodes=2.5)),
+    lambda g: brute_force(g, 1.5),
+    lambda g: brute_force(g, -1),
+    lambda g: check_max_degree(g, 0, 1.5),
+    lambda g: SearchBudget(max_nodes=True),
+    lambda g: SearchBudget(max_nodes=2.5),
+    lambda g: SearchBudget(max_nodes="10"),
+    lambda g: SearchBudget(max_time=True),
+    lambda g: SearchBudget(max_time="5"),
+    lambda g: SearchBudget(thread_count=True),
+    lambda g: SearchBudget(thread_count=1.5),
+])
+def test_non_integer_counts_rejected_before_any_build(monkeypatch, call):
+    # a count that is a float, a bool or a string never reaches a search,
+    # and solve_kneser refuses it before building the graph
+    g = build_kneser(5, 2)
+
+    def no_build(n, k):
+        raise AssertionError("built a graph for a bad d")
+
+    monkeypatch.setattr(solver_module, "build_kneser", no_build)
+    with pytest.raises(DomainError):
+        call(g)
+
+
+def test_budget_accepts_integer_counts_and_whole_seconds():
+    budget = SearchBudget(max_nodes=10, max_time=5, thread_count=2)
+    assert (budget.max_nodes, budget.max_time, budget.thread_count) == (10, 5, 2)
+    assert solve(build_kneser(7, 3), 1, SearchBudget(max_nodes=1)).nodes_explored == 2
+
+
 def test_time_budget_exhaustion():
     # K(9,4) is far out of reach; the deadline must cut the search short
     g = build_kneser(9, 4)
@@ -356,8 +392,8 @@ def test_edge_start_is_the_engine_path(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(solver_module, "_deg1_branch", scripted)
-            root, children_of, _ = solver_module._engine(g.adj, 1)
-            start = children_of(children_of(root, -1)[0], -1)[0]
+            build, children_of, _ = solver_module._engine(g.adj, 1)
+            start = children_of(children_of(build(g.full_mask, 0), -1)[0], -1)[0]
         free = edge_nonneighbors(g, 0, y)
         assert engine_view(start) == (free, 0, 0, edge), (n, k)
         assert_counts_on(g.adj, free, start[3], start[4])
@@ -370,8 +406,8 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             if d >= 2:
                 start = left
                 assert_free_vertices_can_join(g.adj, d, start)
-            _, children_of, _ = solver_module._engine(g.adj, d)
-            roots = recorded[d](children_of, -1)
+            build, children_of, _ = solver_module._engine(g.adj, d)
+            roots = recorded[d](build, children_of, -1)
             assert engine_view(roots[0]) == engine_view(children_of(start, -1)[0]), (n, k, d)
             state, branched = start, set()
             for r in roots[:-1]:
@@ -389,7 +425,7 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             assert engine_view(roots[-1]) == engine_view(state), (n, k, d)
             assert children_of(state, -1) is None, (n, k, d)
             for incumbent in range(g.order + 1):
-                pruned = recorded[d](children_of, incumbent)
+                pruned = recorded[d](build, children_of, incumbent)
                 if d == 1:
                     # an incumbent cuts the list short, never reorders it
                     assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
@@ -474,13 +510,13 @@ def test_free_degree_counters_are_exact(monkeypatch):
     # cliques' maximum degrees are 2^L - 1 and 2^L, and at 2^L the first
     # catch-up borrows through every layer; the edgeless graph and a single
     # vertex have no layer at all
-    assert len(solver_module._engine(star(300).adj, 1)[0][4]) == 9
+    assert len(solver_module._engine(star(300).adj, 1)[0](star(300).full_mask, 0)[4]) == 9
     small = [star(300), clique(8), clique(9), clique(16), clique(17),
              graph_from_edges(5, []), graph_from_edges(1, [])]
     for g in small:
         # every node, none pruned
-        root, children_of, _ = solver_module._engine(g.adj, 1)
-        stack = [root]
+        start, children_of, _ = solver_module._engine(g.adj, 1)
+        stack = [start(g.full_mask, 0)]
         while stack:
             kids = children_of(stack.pop(), -1)
             stack.extend(kids or ())
@@ -502,6 +538,80 @@ def test_free_degree_counters_are_exact(monkeypatch):
         calls.clear()
         solve_kneser(n, k, 1, SearchBudget(max_nodes=3000))
         assert calls, (n, k)
+
+
+def test_edge_start_counts_free_degrees_once_on_m(monkeypatch):
+    # a d=1 solve_kneser search counts free-degrees in full once, on
+    # the edge start's free set M, and never on the whole vertex set
+    real = solver_module._free_degree_layers
+    counted = []
+
+    def recording(adj, free):
+        counted.append(free)
+        return real(adj, free)
+
+    monkeypatch.setattr(solver_module, "_free_degree_layers", recording)
+    for n, k in ((8, 3), (9, 3), (10, 4), (12, 5)):
+        counted.clear()
+        res = solve_kneser(n, k, 1, SearchBudget(max_nodes=50))
+        assert res.nodes_explored > 0, (n, k)
+        g = build_kneser(n, k)
+        m = edge_nonneighbors(g, 0, g.vertex_index(range(k + 1, 2 * k + 1)))
+        assert counted == [m], (n, k)
+
+
+def test_orbit_roots_subtract_each_orbit_once(monkeypatch):
+    # while the orbit roots are built, the vertices whose rows the counters
+    # subtract (counted & ~free) are new at every call: no orbit twice
+    real = solver_module._deg1_branch
+    gone = []
+
+    def branch(adj, free, counted, layers):
+        gone.append(counted & ~free)
+        return real(adj, free, counted, layers)
+
+    monkeypatch.setattr(solver_module, "_deg1_branch", branch)
+    for n, k in ((8, 3), (9, 3), (10, 4), (12, 5)):
+        g = build_kneser(n, k)
+        start, children_of, _ = solver_module._engine(g.adj, 1)
+        for incumbent in (-1, 10, 20):
+            gone.clear()
+            roots = solver_module._edge_orbit_roots(g, 1, start, children_of, incumbent)
+            assert len(gone) >= min(len(roots), 3), (n, k, incumbent)
+            seen = 0
+            for out in gone:
+                assert out & seen == 0, (n, k, incumbent)
+                seen |= out
+
+
+def test_d1_states_keep_one_unsaturated_chosen_neighbour(monkeypatch):
+    # every free vertex of every d=1 state has at most one chosen
+    # neighbour, that neighbour is unsaturated, and seen & free is exactly
+    # the free vertices with one
+    real = solver_module._deg1_children
+    states = [0]
+
+    def checked(adj, state, incumbent):
+        free, unsat, seen, _, _, chosen = state
+        touched = 0
+        for u in bits(free):
+            c = adj[u] & chosen
+            assert c.bit_count() <= 1 and c & ~unsat == 0, u
+            if c:
+                touched |= 1 << u
+        assert seen & free == touched
+        states[0] += 1
+        return real(adj, state, incumbent)
+
+    monkeypatch.setattr(solver_module, "_deg1_children", checked)
+    rng = random.Random(5)
+    for i in range(8):
+        g = random_graph(rng.randint(10, 24), (0.15, 0.3)[i % 2], rng)
+        assert solve(g, 1).optimal
+    solve(build_kneser(7, 3), 1)
+    for n, k in ((8, 3), (10, 4)):
+        solve_kneser(n, k, 1, SearchBudget(max_nodes=2000))
+    assert states[0] > 5_000
 
 
 # plain solve at d=1, one worker: (size, nodes, witness), recorded before
@@ -591,7 +701,7 @@ def test_start_states_wait_for_a_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a start state for a search that never ran")
 
-    for name in ("_start_state", "_degd_include", "_edge_type_layers"):
+    for name in ("_engine", "_degd_include", "_edge_type_layers"):
         monkeypatch.setattr(solver_module, name, refuse)
     for n, k in ((9, 2), (7, 3), (9, 4)):
         res = solve_kneser(n, k, 1)
