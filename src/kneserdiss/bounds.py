@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .errors import CapacityError, DomainError, SearchFailure
+from .errors import CapacityError, DomainError, SearchFailure, require_int
 
 # str() of an int stops at 4,300 digits by default; 2**14_000 has 4,215, so
 # every reported value, at most a small multiple of C(n, k), still prints
@@ -29,14 +29,17 @@ def binom(n: int, k: int) -> int:
 
     Unlike graph construction, bound arithmetic has no 64-element encoding
     limit; reports stay meaningful for ground sets too big to build.
+    Code in this module calls math.comb, whose arguments it has checked.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"binom needs nonnegative arguments, got ({n},{k})")
+    require_int("n", n, 0)
+    require_int("k", k, 0)
     return comb(n, k)
 
 
 def _require_kneser(n: int, k: int, min_k: int = 1) -> None:
-    if k < min_k or n < 2 * k:
+    require_int("n", n, 0)
+    require_int("k", k, min_k)
+    if n < 2 * k:
         raise DomainError(f"need n >= 2k >= {2 * min_k}, got n={n} k={k}")
     # C(n, k) < 2**n and C(n, k) <= n**k; checked before any binomial
     if min(n, k * n.bit_length()) > MAX_VALUE_BITS:
@@ -49,13 +52,13 @@ def _require_kneser(n: int, k: int, min_k: int = 1) -> None:
 def alpha_kneser(n: int, k: int) -> int:
     """Independence number of K(n, k): every center has this size."""
     _require_kneser(n, k)
-    return binom(n - 1, k - 1)
+    return comb(n - 1, k - 1)
 
 
 def subgraph_lower(n: int, k: int) -> int:
     """C(2k, k): the k-subsets of [2k] induce a perfect matching in K(n, k)."""
     _require_kneser(n, k)
-    return binom(2 * k, k)
+    return comb(2 * k, k)
 
 
 def edge_nonneighbor_count(n: int, k: int) -> int:
@@ -69,10 +72,10 @@ def edge_nonneighbor_count(n: int, k: int) -> int:
     _require_kneser(n, k, min_k=2)
     total = 0
     for i in range(0, k - 1):
-        outer = binom(n - 2 * k, i)
+        outer = comb(n - 2 * k, i)
         if outer == 0:
             continue
-        inner = sum(binom(k, j) * binom(k, k - j - i) for j in range(1, k - i))
+        inner = sum(comb(k, j) * comb(k, k - j - i) for j in range(1, k - i))
         total += outer * inner
     return total
 
@@ -80,7 +83,11 @@ def edge_nonneighbor_count(n: int, k: int) -> int:
 def edge_nonneighbor_closed_form(n: int, k: int) -> int:
     """Same count via inclusion-exclusion on the two closed neighborhoods."""
     _require_kneser(n, k, min_k=2)
-    return binom(n, k) - 2 * binom(n - k, k) + binom(n - 2 * k, k)
+    return _closed_form(n, k)
+
+
+def _closed_form(n: int, k: int) -> int:
+    return comb(n, k) - 2 * comb(n - k, k) + comb(n - 2 * k, k)
 
 
 def nonindependent_upper(n: int, k: int) -> int:
@@ -154,14 +161,15 @@ def alpha_dominance_threshold(k: int) -> int:
     The edge case C(n,k) - 2C(n-k,k) + C(n-2k,k) is a second difference of
     step k, near k^2 * k(k-1)/n^2 * C(n,k), and alpha = k/n * C(n,k), so
     the threshold lies near k^2 (k-1) (826 at k = 10, 25,278 at k = 30).
-    The scan runs to 2k^3, twice that.
+    The scan runs to 2k^3, twice that, and refuses a k whose largest
+    binomial there passes MAX_VALUE_BITS.
     """
-    if k < 2:
-        raise DomainError("threshold defined for k >= 2")
+    require_int("k", k, 2)
     cap = 2 * k**3
+    _require_kneser(cap, k, min_k=2)
     first = None
     for n in range(2 * k, cap + 1):
-        holds = alpha_kneser(n, k) >= nonindependent_upper(n, k)
+        holds = comb(n - 1, k - 1) >= 2 + _closed_form(n, k)
         if first is None and holds:
             first = n
         elif first is not None and not holds:
@@ -182,7 +190,7 @@ def katona_upper_large_r(n: int, k: int) -> Fraction | None:
     _require_kneser(n, k, min_k=2)
     if n <= 3 * k - 2:
         return None
-    return Fraction(k + 1, k) * binom(n - 1, k - 1)
+    return Fraction(k + 1, k) * comb(n - 1, k - 1)
 
 
 def katona_upper_small_r(n: int, k: int) -> Fraction | None:
@@ -195,13 +203,12 @@ def katona_upper_small_r(n: int, k: int) -> Fraction | None:
     r = n - 2 * k
     if not 1 <= r <= k - 2:
         return None
-    return Fraction(2 * (r * k + 2 * r + k + 1), k * (2 * r + 1)) * binom(n - 1, k - 1)
+    return Fraction(2 * (r * k + 2 * r + k + 1), k * (2 * r + 1)) * comb(n - 1, k - 1)
 
 
 def alpha_equality_lower(k: int) -> int:
     """No n below 2k+2 can have diss = alpha: C(2k,k) > C(n-1,k-1) there."""
-    if k < 2:
-        raise DomainError("defined for k >= 2")
+    require_int("k", k, 2)
     return 2 * k + 2
 
 
@@ -290,11 +297,11 @@ def report(n: int, k: int) -> BoundReport:
     if k == 2:
         exact = max(n - 1, 6), SRC_PAIRS
     elif k == 3 and n >= 8:
-        exact = binom(n - 1, 2), SRC_TRIPLES
+        exact = comb(n - 1, 2), SRC_TRIPLES
     elif n == 2 * k:
-        exact = binom(2 * k, k), SRC_MATCHING
+        exact = comb(2 * k, k), SRC_MATCHING
     elif n == 2 * k + 1:
-        exact = binom(2 * k, k), SRC_ODD
+        exact = comb(2 * k, k), SRC_ODD
     elif edge_upper == best_lower:  # the sharpest edge bound closes the interval
         exact = best_lower, SRC_CLOSURE
     else:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_int
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,6 @@ class Certificate:
         return json.dumps(doc)
 
 
-def _json_int(value, what: str) -> int:
-    # JSON true/false load as bool, which Python counts as int
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _load_json(text: str, what: str, parse_float=None):
     # ValueError covers JSONDecodeError, integers past the digit limit and
     # DomainError from parse_float; deep nesting overflows the decoder's
@@ -57,16 +50,14 @@ def certificate_from_json(text: str) -> Certificate:
     doc = _load_json(text, "certificate")
     if not isinstance(doc, dict) or not isinstance(doc.get("set"), list):
         raise DomainError("certificate JSON must be an object with a 'set' list")
-    members = []
+    # JSON true/false load as bool, which require_int refuses
     for entry in doc["set"]:
-        if isinstance(entry, list):
-            members.append(tuple(sorted(_json_int(e, "set element") for e in entry)))
-        else:
-            members.append(_json_int(entry, "set entry"))
-    n, k = doc.get("n"), doc.get("k")
-    return Certificate(
-        d=_json_int(doc.get("d", 1), "d"),
-        members=tuple(members),
-        n=None if n is None else _json_int(n, "n"),
-        k=None if k is None else _json_int(k, "k"),
-    )
+        for e in entry if isinstance(entry, list) else (entry,):
+            require_int("set member", e, 1)
+    members = tuple(tuple(sorted(e)) if isinstance(e, list) else e for e in doc["set"])
+    n, k, d = doc.get("n"), doc.get("k"), doc.get("d", 1)
+    require_int("d", d, 0)
+    for name, value in (("n", n), ("k", k)):
+        if value is not None:
+            require_int(name, value, 1)
+    return Certificate(d=d, members=members, n=n, k=k)

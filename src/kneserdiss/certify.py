@@ -16,7 +16,7 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, require_int
-from .graphs import GenericGraph, bits, mask_of
+from .graphs import GenericGraph, bits, vertex_mask
 from .kneser import KneserGraph, KSubset, build_kneser
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
@@ -26,9 +26,7 @@ ODD_CENTER_CAP = 24  # odd_expansion_violator checks all 2^c - 1 sets L
 def check_max_degree(g: GenericGraph, s, d: int) -> bool:
     """True iff every vertex of s has at most d neighbors inside s."""
     require_int("d", d, 0)
-    mask = s if isinstance(s, int) else mask_of(s)
-    if mask >> g.order:
-        raise DomainError("s is not a subset of the vertex set")
+    mask = vertex_mask(g, s)
     for v in bits(mask):
         if (g.adj[v] & mask).bit_count() > d:
             return False
@@ -41,10 +39,7 @@ def check_p3_cover(g: GenericGraph, cover) -> bool:
     Checked directly from the definition (no vertex of the remainder keeps
     two neighbors), independently of check_max_degree.
     """
-    mask = cover if isinstance(cover, int) else mask_of(cover)
-    if mask >> g.order:
-        raise DomainError("cover is not a subset of the vertex set")
-    rest = g.full_mask & ~mask
+    rest = g.full_mask & ~vertex_mask(g, cover)
     for v in bits(rest):
         if (g.adj[v] & rest).bit_count() >= 2:
             return False
@@ -136,15 +131,8 @@ def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[Knes
     L must be a nonempty subset of the center of element 2k+1; D is the set
     of vertices avoiding 2k+1 (they induce a perfect matching).
     """
-    if k < 2:
-        raise DomainError("odd graphs need k >= 2")
-    n = 2 * k + 1
-    if g is None:
-        g = build_kneser(n, k)
-    elif (g.n, g.k) != (n, k):
-        raise DomainError(f"graph is not the odd graph K({n},{k})")
-
-    center = g.center_mask(n)
+    g = _odd_graph(k, g)
+    center = g.center_mask(2 * k + 1)
     lmask = 0
     for item in subset:
         lmask |= 1 << g.vertex_index(item)
@@ -157,6 +145,16 @@ def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[Knes
     for v in bits(lmask):
         nbhd |= g.adj[v]
     return g, lmask, nbhd & ~center
+
+
+def _odd_graph(k: int, g: KneserGraph | None) -> KneserGraph:
+    """The odd graph K(2k+1, k): g, which must be it, or a new build."""
+    require_int("k", k, 2)
+    if g is None:
+        return build_kneser(2 * k + 1, k)
+    if (g.n, g.k) != (2 * k + 1, k):
+        raise DomainError(f"graph is not the odd graph K({2 * k + 1},{k})")
+    return g
 
 
 def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
@@ -180,18 +178,13 @@ def odd_expansion_violator(k: int, g: KneserGraph | None = None) -> frozenset | 
     Every L is checked exactly, as odd_expansion_check does one at a time:
     the c center rows below are split in two halves whose subset unions are
     tabled once, so a set L costs one OR of two table entries (memory
-    O(2^ceil(c/2))).  c = C(2k, k-1) is capped at ODD_CENTER_CAP.
+    O(2^ceil(c/2))).  c = C(2k, k-1) is capped first, at ODD_CENTER_CAP.
     """
-    if k < 2:
-        raise DomainError("odd graphs need k >= 2")
-    n = 2 * k + 1
-    if g is not None and (g.n, g.k) != (n, k):
-        raise DomainError(f"graph is not the odd graph K({n},{k})")
+    require_int("k", k, 2)
     if comb(2 * k, k - 1) > ODD_CENTER_CAP:
-        raise CapacityError(f"center of K({n},{k}) exceeds {ODD_CENTER_CAP} vertices")
-    if g is None:
-        g = build_kneser(n, k)
-    center = g.center_mask(n)
+        raise CapacityError(f"center of K({2 * k + 1},{k}) exceeds {ODD_CENTER_CAP} vertices")
+    g = _odd_graph(k, g)
+    center = g.center_mask(2 * k + 1)
     below = g.full_mask & ~center
     cv = list(bits(center))
     half = len(cv) // 2
@@ -231,9 +224,7 @@ class CyclicArrangement:
 
     def window_masks(self, k: int) -> list[int]:
         """Element masks of the n cyclic windows of length k."""
-        n = len(self.order)
-        if not 1 <= k <= n:
-            raise DomainError(f"window length {k} out of range")
+        require_int("window length", k, 1, len(self.order))
         # roll the first window on: add the element entering, drop the one leaving
         bit = [1 << (e - 1) for e in self.order]
         window = sum(bit[:k])
@@ -246,8 +237,7 @@ class CyclicArrangement:
 
 def all_arrangements(n: int):
     """Yield all (n-1)! normalized cyclic arrangements of [n]."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    require_int("n", n, 1)
     if n > ARRANGEMENT_CAP:
         raise CapacityError(f"arrangement enumeration capped at n <= {ARRANGEMENT_CAP}")
     for rest in permutations(range(2, n + 1)):
@@ -255,6 +245,9 @@ def all_arrangements(n: int):
 
 
 def _family_masks(family, n: int, k: int) -> frozenset:
+    # before _window_tally's cache, where 5.0 would hash as 5
+    require_int("n", n, 1)
+    require_int("k", k, 1, n)
     masks = set()
     for member in family:
         if isinstance(member, KSubset):

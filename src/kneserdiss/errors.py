@@ -1,5 +1,6 @@
-"""Error types shared across the package, and the integer check behind
-every count argument."""
+"""Error types shared across the package, and ``require_int``, the one
+check of an integer argument: a count, an index or an element.  Only the
+per-item tests of hot loops, such as edge endpoints, are written inline."""
 
 
 class DomainError(ValueError):
@@ -15,12 +16,12 @@ class SearchFailure(RuntimeError):
 
 
 def require_int(name: str, value, low: int, high: int | None = None) -> None:
-    """Raise DomainError unless ``value`` is an int, at least ``low`` and at
-    most ``high`` when given.  A bool is refused although it is an int:
-    True is no count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise DomainError(f"{name} must be >= {low}, got {value}")
-    if high is not None and value > high:
-        raise DomainError(f"{name} must be <= {high}, got {value}")
+    """Raise DomainError unless ``value`` is an int in [low, high], where
+    no ``high`` means no upper end.  A bool is refused although it is an
+    int: True is no count."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} {value!r} is a bool, not an int")
+    if not isinstance(value, int):
+        raise DomainError(f"{name} {value!r} is not an int")
+    if value < low or high is not None and value > high:
+        raise DomainError(f"{name} {value} out of range [{low}, {'inf' if high is None else high}]")

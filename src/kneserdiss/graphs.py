@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, require_int
 
 # adjacency rows take V * ceil(V/8) bytes; K(22,6) needs about 0.7 GB
 MAX_ADJACENCY_BYTES = 2 << 30
@@ -40,6 +40,7 @@ def bits(mask: int):
 def mask_of(indices) -> int:
     m = 0
     for i in indices:
+        require_int("vertex index", i, 0)
         m |= 1 << i
     return m
 
@@ -74,7 +75,17 @@ class GenericGraph:
                 yield u, u + 1 + v
 
 
+def vertex_mask(g: GenericGraph, s) -> int:
+    """Bitset of the vertex set s of g, given as a bitset or as indices."""
+    mask = mask_of(s) if hasattr(s, "__iter__") else s
+    require_int("vertex set", mask, 0)  # True is no name for the set {0}
+    if mask >> g.order:
+        raise DomainError("vertex set is not a subset of the graph")
+    return mask
+
+
 def graph_from_edges(order: int, edges) -> GenericGraph:
+    require_int("order", order, 0)
     adj = [0] * order
     for u, v in edges:
         if u == v:
@@ -89,8 +100,7 @@ def graph_from_edges(order: int, edges) -> GenericGraph:
 def induced_subgraph(g: GenericGraph, s: int) -> GenericGraph:
     """Subgraph induced by the vertex bitset ``s``; vertex i is the i-th
     lowest vertex of ``s``."""
-    if s >> g.order:
-        raise DomainError("vertex set is not a subset of the graph")
+    s = vertex_mask(g, s)
     keep = list(bits(s))
     pos = {v: i for i, v in enumerate(keep)}
     adj = []

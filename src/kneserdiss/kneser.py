@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .certificates import Certificate, _json_int, _load_json
-from .errors import CapacityError, DomainError
+from .bounds import _require_kneser
+from .certificates import Certificate, _load_json
+from .errors import CapacityError, DomainError, require_int
 from .graphs import GenericGraph, bits, require_adjacency_fits
 
 MAX_GROUND_SET = 64
@@ -55,8 +56,8 @@ class KSubset:
 
 def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
     """All k-subsets of [n] in lexicographic order of their element lists."""
-    if n < 0 or k < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n, got n={n} k={k}")
+    require_int("n", n, 0)
+    require_int("k", k, 0, n)
     if n > MAX_GROUND_SET:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
     # no more vertices than a graph's adjacency rows could hold
@@ -81,16 +82,17 @@ class KneserGraph(GenericGraph):
         The vertices holding every element are the intersection of their
         centers, which for k distinct elements is exactly the vertex.
         """
-        if isinstance(vertex, bool):
-            raise DomainError(f"vertex {vertex!r} is a bool, not an index")
-        if isinstance(vertex, int):
-            if not 0 <= vertex < self.order:
-                raise DomainError(f"vertex index {vertex} out of range")
+        if isinstance(vertex, KSubset):
+            elements = vertex.elements
+        elif hasattr(vertex, "__iter__"):
+            elements = tuple(vertex)
+        else:
+            require_int("vertex index", vertex, 0, self.order - 1)
             return vertex
-        elements = vertex.elements if isinstance(vertex, KSubset) else tuple(vertex)
         common = -1  # every bit set: every vertex, without a V-bit allocation
         for e in elements:
-            common &= self.center_mask(e)
+            require_int("element", e, 1, self.n)
+            common &= self.centers[e - 1]
         if len(elements) != self.k or common.bit_count() != 1:
             shown = "{" + ",".join(map(str, elements)) + "}"
             raise DomainError(f"{shown} is not a vertex of K({self.n},{self.k})")
@@ -98,11 +100,7 @@ class KneserGraph(GenericGraph):
 
     def center_mask(self, i: int) -> int:
         """Bitset of all vertices whose subset contains element i."""
-        # bool is an int subclass, but True is no name for element 1
-        if isinstance(i, bool) or not isinstance(i, int):
-            raise DomainError(f"element {i!r} is not an int")
-        if not 1 <= i <= self.n:
-            raise DomainError(f"element {i} outside [1, {self.n}]")
+        require_int("element", i, 1, self.n)
         return self.centers[i - 1]
 
     def vertex_set_elements(self, s: int) -> tuple[tuple[int, ...], ...]:
@@ -111,8 +109,7 @@ class KneserGraph(GenericGraph):
 
 
 def _check_parameters(n: int, k: int) -> None:
-    if k < 1 or n < 2 * k:
-        raise DomainError(f"K({n},{k}) needs n >= 2k >= 2")
+    _require_kneser(n, k)
     if n > MAX_GROUND_SET:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
 
@@ -182,10 +179,9 @@ def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
             if not isinstance(g, KneserGraph):
                 raise DomainError("element-list certificate needs a Kneser graph")
             bit = 1 << g.vertex_index(member)
-        elif 1 <= member <= g.order:
-            bit = 1 << (member - 1)
         else:
-            raise DomainError(f"vertex index {member} out of range")
+            require_int("vertex index", member, 1, g.order)
+            bit = 1 << (member - 1)
         if mask & bit:
             raise DomainError(f"certificate names vertex {member} twice")
         mask |= bit
@@ -206,7 +202,7 @@ def kneser_from_json(text: str) -> KneserGraph:
     # 1.0 would equal element 1 in the comparison below, so no float loads
     doc = _load_json(text, "graph", _reject_float)
     try:
-        n, k = _json_int(doc["n"], "n"), _json_int(doc["k"], "k")
+        n, k = doc["n"], doc["k"]
         listed = [tuple(v) for v in doc["vertices"]]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed graph JSON: {exc}") from exc

@@ -672,6 +672,7 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
     A branch is cut only when taking every undecided vertex could not beat
     the best set found, so the oracle shares no bound with the engines.
     """
+    require_int("cap", cap, 0)
     if g.order > cap:
         raise CapacityError(f"brute force capped at {cap} vertices")
     require_int("d", d, 0)

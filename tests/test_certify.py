@@ -404,6 +404,8 @@ def test_family_validation():
     (lambda: CyclicArrangement((1, 2, 3)).window_masks(0), DomainError),
     (lambda: CyclicArrangement((1, 2, 3)).window_masks(4), DomainError),
     (lambda: list(all_arrangements(0)), DomainError),
+    (lambda: check_max_degree(build_kneser(5, 2), True, 0), DomainError),
+    (lambda: check_p3_cover(build_kneser(5, 2), False), DomainError),
 ])
 def test_input_checks_raise(call, error):
     with pytest.raises(error):

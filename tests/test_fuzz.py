@@ -18,7 +18,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kneserdiss.graphs as graphs_module
-from kneserdiss import CapacityError, Certificate, DomainError, KneserGraph, build_kneser
+from kneserdiss import (
+    CapacityError,
+    Certificate,
+    DomainError,
+    KneserGraph,
+    build_kneser,
+    enumerate_k_subsets,
+    report,
+)
 from kneserdiss.certificates import certificate_from_json
 from kneserdiss.cli import ALL_GROUPS, main
 from kneserdiss.graphs import GenericGraph, read_dimacs, write_dimacs
@@ -130,6 +138,23 @@ def test_kneser_from_json_raises_only_input_errors(text):
         return
     doc = json.loads(text)
     assert isinstance(g, KneserGraph) and (g.n, g.k) == (doc["n"], doc["k"])
+
+
+# -- count arguments ----------------------------------------------------------
+
+# integers up to 12 keep every graph small; every other value is refused
+COUNTS = (st.integers(-3, 12) | st.booleans() | st.floats(allow_nan=True, allow_infinity=True)
+          | st.text(max_size=2) | st.none())
+
+
+@fuzz(300)
+@given(st.sampled_from([report, build_kneser, enumerate_k_subsets]), COUNTS, COUNTS)
+def test_count_arguments_raise_only_input_errors(fn, n, k):
+    try:
+        fn(n, k)
+    except (DomainError, CapacityError):
+        return
+    assert type(n) is int and type(k) is int, (fn, n, k)
 
 
 # -- the command line ---------------------------------------------------------

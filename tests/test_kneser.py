@@ -472,6 +472,9 @@ def test_build_needs_no_numpy():
     lambda: graph_from_edges(3, [(0, 3)]),
     lambda: graph_from_edges(3, [(-1, 0)]),
     lambda: induced_subgraph(graph_from_edges(3, [(0, 1)]), 1 << 3),
+    lambda: graph_from_edges(2.5, []),
+    lambda: graph_from_edges(True, []),
+    lambda: induced_subgraph(graph_from_edges(3, [(0, 1)]), True),
 ])
 def test_graph_input_checks(call):
     with pytest.raises(DomainError):
