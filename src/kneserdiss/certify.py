@@ -252,10 +252,16 @@ def _family_masks(family, n: int, k: int) -> frozenset:
     for member in family:
         if isinstance(member, KSubset):
             mask = member.mask
-        elif isinstance(member, int):
-            mask = member
+        elif hasattr(member, "__iter__"):
+            mask = 0
+            for e in member:
+                require_int("element", e, 1, n)
+                if mask >> (e - 1) & 1:
+                    raise DomainError(f"family member {member!r} names element {e} twice")
+                mask |= 1 << (e - 1)
         else:
-            mask = sum(1 << (e - 1) for e in member)
+            require_int("family member", member, 0)  # a mask; True is no set
+            mask = member
         if mask >> n or mask.bit_count() != k:
             raise DomainError(f"family member {member!r} is not a k-subset of [n]")
         masks.add(mask)

@@ -24,4 +24,14 @@ def require_int(name: str, value, low: int, high: int | None = None) -> None:
     if not isinstance(value, int):
         raise DomainError(f"{name} {value!r} is not an int")
     if value < low or high is not None and value > high:
-        raise DomainError(f"{name} {value} out of range [{low}, {'inf' if high is None else high}]")
+        top = "inf" if high is None else _decimal(high)
+        raise DomainError(f"{name} {_decimal(value)} out of range [{_decimal(low)}, {top}]")
+
+
+def _decimal(value: int) -> str:
+    """``value`` in decimal, or by its bit length when it has more digits
+    than the interpreter converts to a string (4,300 by default)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"

@@ -189,8 +189,11 @@ def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
 
 
 def kneser_to_json(g: KneserGraph) -> str:
+    """JSON of K(n, k); the vertices are listed by ``combinations``, the
+    lexicographic order that ``enumerate_k_subsets`` defines, with no bit
+    walk per vertex."""
     return json.dumps(
-        {"n": g.n, "k": g.k, "vertices": [list(v.elements) for v in g.vertices]}
+        {"n": g.n, "k": g.k, "vertices": list(combinations(range(1, g.n + 1), g.k))}
     )
 
 

@@ -87,3 +87,12 @@ CASES = [
 def test_count_arguments_refuse_non_integers(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_out_of_range_message_names_a_huge_int_by_its_bits():
+    # 10**5000 has more digits than the interpreter writes as a string, so
+    # the message names its bit length instead
+    with pytest.raises(DomainError, match=r"n -<16610-bit int> out of range \[0, inf\]"):
+        kd.binom(-10**5000, 1)
+    with pytest.raises(DomainError, match=r"k -1 out of range \[0, <16610-bit int>\]"):
+        kd.enumerate_k_subsets(10**5000, -1)

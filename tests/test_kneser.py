@@ -406,6 +406,107 @@ def test_dimacs_vertex_cap(monkeypatch):
         read_dimacs("p edge 131072 0\n")
 
 
+def reference_bits(mask):
+    """The lowest-bit loop over the whole mask, one set bit per step."""
+    while mask:
+        lsb = mask & -mask
+        yield lsb.bit_length() - 1
+        mask ^= lsb
+
+
+def test_bits_matches_the_lowest_bit_loop():
+    rng = random.Random(24)
+    masks = [0, 1, 1 << 63, 1 << 64, (1 << 64) + 1, (1 << 128) - 1, (1 << 64) - 1, 1 << 127]
+    for width in (65, 200, 1000, 40_000):
+        masks.append(rng.getrandbits(width) | 1 << (width - 1))
+        # sparse: whole zero words between the set bits
+        masks.append(sum(1 << i for i in rng.sample(range(width), max(1, width // 97))))
+    masks.append(sum(1 << i for i in range(0, 40_000, 64)))  # bit 0 of every word
+    masks.append(sum(1 << i for i in range(63, 40_000, 64)))  # bit 63 of every word
+    for mask in masks:
+        assert list(bits(mask)) == list(reference_bits(mask)), mask.bit_length()
+
+
+# SHA-256 over write_dimacs (and kneser_to_json) of every K(n, k) with
+# 2 <= n <= 12, k = 1 .. n // 2 in turn, recorded before bits walked words
+# and before the JSON vertices came from combinations
+IO_DIGESTS = {
+    "dimacs": "fbf22bb2b2aae70595878032197308b3b3c983ab37d027ac657c91c1ba5fee74",
+    "json": "c981aaaa22ce6c3a7fa46ccf71b05ef7cfd2b819e94f9b9c4b5fb1bdeec9ea1e",
+}
+
+
+def test_graph_text_is_byte_identical():
+    dimacs, graph_json = hashlib.sha256(), hashlib.sha256()
+    for n in range(2, 13):
+        for k in range(1, n // 2 + 1):
+            g = build_kneser(n, k)
+            text = write_dimacs(g)
+            # the edge listing the bit walk replaced, row by row
+            edges = [f"e {u + 1} {v + 1}" for u in range(g.order)
+                     for v in reference_bits(g.adj[u]) if v > u]
+            assert text == "\n".join([f"p edge {g.order} {len(edges)}", *edges]) + "\n"
+            dimacs.update(text.encode())
+            graph_json.update(kneser_to_json(g).encode())
+    assert dimacs.hexdigest() == IO_DIGESTS["dimacs"]
+    assert graph_json.hexdigest() == IO_DIGESTS["json"]
+
+
+# (file, message): one fault, then two faults, where the first one found
+# is reported; every file is read whole before graph_from_edges runs
+DIMACS_FAULTS = [
+    ("", "missing problem line"),
+    ("c only a comment\n", "missing problem line"),
+    ("e 1 2\n", "line 1: edge before problem line"),
+    ("p edge 2 1\nq 1 2\n", "line 2: unknown record 'q'"),
+    ("p edge 2\n", "line 1: bad problem line 'p edge 2'"),
+    ("p col 2 1\n", "line 1: bad problem line 'p col 2 1'"),
+    ("  p edge x 1  \n", "line 1: 'x' is not an integer"),
+    ("p edge 2 y\n", "line 1: 'y' is not an integer"),
+    ("p edge 2 1\ne 1\n", "line 2: bad edge line 'e 1'"),
+    ("p edge 2 1\n  e 1 2 3  \n", "line 2: bad edge line 'e 1 2 3'"),
+    ("p edge 2 1\ne a 2\n", "line 2: 'a' is not an integer"),
+    ("p edge 2 1\ne 1 b\n", "line 2: 'b' is not an integer"),
+    ("p edge 2 1\ne 1 3\n", "line 2: vertex out of range"),
+    ("p edge 2 1\ne 0 1\n", "line 2: vertex out of range"),
+    ("p edge 2 1\ne 1 1\n", "loop at vertex 0"),
+    ("p edge 2 5\ne 1 2\n", "header declares 5 edges, file defines 1"),
+    ("p edge 3 2\ne 1 2\ne 2 1\n", "header declares 2 edges, file defines 1"),
+    ("p edge -1 0\n", "order -1 out of range [0, inf]"),
+    ("p edge 2 1\n\tcx\ne 1 2\nx 9\n", "line 4: unknown record 'x'"),
+    ("p edge 2 1\ne a b\n", "line 2: 'a' is not an integer"),
+    ("p edge 2 1\ne 1 x y\n", "line 2: bad edge line 'e 1 x y'"),
+    ("p edge 2 1\ne 3 x\n", "line 2: 'x' is not an integer"),
+    ("e 1\np edge 2 1\n", "line 1: edge before problem line"),
+    ("p edge 2 1\ne 1 2 3\nq\n", "line 2: bad edge line 'e 1 2 3'"),
+    ("p edge 2 1\ne 1 1\ne 1 x\n", "line 3: 'x' is not an integer"),
+    ("p edge 2 9\ne 1 1\n", "loop at vertex 0"),
+    ("p edge 2 1\ne 1 2\ne 1 5\np edge 2\n", "line 3: vertex out of range"),
+    ("p edge 3 1\ne 1 2\np edge 1 0\n", "edge (0,1) out of range for order 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", DIMACS_FAULTS)
+def test_dimacs_fault_messages(text, message):
+    with pytest.raises(DomainError) as err:
+        read_dimacs(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text", [
+    "p edge 3 1\ne 1 2\n",
+    "c x\ncomment\n\n  \np edge 3 1\n\t e  1   2 \n",
+    "p edge 3 1\r\ne 1 2\r\n",
+    "p\u00a0edge 3 1\ne 1\u20032\n",  # Unicode spaces split tokens
+    "p edge 3 1\x0be 1 2",  # a vertical tab ends a line
+    "p edge 3 1\ne \u0661 \u0662\n",  # int() reads Arabic-Indic digits
+    "p edge 9 0\np edge 3 1\ne 2 1\n",  # the last problem line holds
+])
+def test_dimacs_accepted_forms(text):
+    g = read_dimacs(text)
+    assert g.order == 3 and g.adj == (0b010, 0b001, 0)
+
+
 def test_json_round_trip():
     g = build_kneser(6, 2)
     h = kneser_from_json(kneser_to_json(g))
