@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .errors import CapacityError, DomainError, SearchFailure, require_int
+from .errors import CapacityError, DomainError, SearchFailure, _decimal, require_int
 
 # str() of an int stops at 4,300 digits by default; 2**14_000 has 4,215, so
 # every reported value, at most a small multiple of C(n, k), still prints
@@ -40,7 +40,7 @@ def _require_kneser(n: int, k: int, min_k: int = 1) -> None:
     require_int("n", n, 0)
     require_int("k", k, min_k)
     if n < 2 * k:
-        raise DomainError(f"need n >= 2k >= {2 * min_k}, got n={n} k={k}")
+        raise DomainError(f"need n >= 2k >= {2 * min_k}, got n={_decimal(n)} k={_decimal(k)}")
     # C(n, k) < 2**n and C(n, k) <= n**k; checked before any binomial
     if min(n, k * n.bit_length()) > MAX_VALUE_BITS:
         raise CapacityError(

@@ -8,11 +8,14 @@ subset always fits a machine word.
 
 Graphs are built from the n centers: C_e is the bitset of vertices that
 contain element e, and the row of vertex v is every vertex outside the
-union of C_e over e in v.  The centers are filled bytewise, and each
-union is formed once per shared (k-1)-prefix of lexicographic neighbours.
-A vertex is found from its k elements the same way: the intersection of
-their k centers holds that vertex and no other.  ``certificate_mask`` is
-the one place that turns a certificate into a vertex bitset.
+union of C_e over e in v.  The centers come whole from the lexicographic
+block structure, the subsets that hold the first element and then those
+that do not: O(n^2 k) shifts and ORs of whole centers, none per vertex.
+A row is one AND of its (k-1)-prefix's free set, formed once per prefix,
+with the complement of its last element's center.  A vertex is found
+from its k elements the same way: the intersection of their k centers
+holds that vertex and no other.  ``certificate_mask`` is the one place
+that turns a certificate into a vertex bitset.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .graphs import GenericGraph, bits, require_adjacency_fits
 MAX_GROUND_SET = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KSubset:
     """A k-subset of {1, ..., ground_n} stored as a bit mask."""
 
@@ -38,10 +41,10 @@ class KSubset:
     ground_n: int
 
     def __post_init__(self):
+        require_int("ground set", self.ground_n, 0)
         if self.ground_n > MAX_GROUND_SET:
             raise CapacityError(f"ground set {self.ground_n} exceeds {MAX_GROUND_SET}")
-        if not 0 <= self.mask < (1 << self.ground_n):
-            raise DomainError("mask outside the ground set")
+        require_int("mask", self.mask, 0, (1 << self.ground_n) - 1)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -63,7 +66,18 @@ def enumerate_k_subsets(n: int, k: int) -> list[KSubset]:
     # no more vertices than a graph's adjacency rows could hold
     count = comb(n, k)
     require_adjacency_fits(count, f"a graph on C({n},{k}) = {count} vertices")
-    return [KSubset(sum(c), n) for c in combinations([1 << e for e in range(n)], k)]
+    # each mask is k distinct bits below n <= 64, so the members skip the
+    # check that KSubset(...) runs on every object: their slots are set
+    # directly, past the frozen dataclass's __setattr__
+    new = object.__new__
+    set_mask, set_ground = KSubset.mask.__set__, KSubset.ground_n.__set__
+    members = []
+    for c in combinations([1 << e for e in range(n)], k):
+        v = new(KSubset)
+        set_mask(v, sum(c))
+        set_ground(v, n)
+        members.append(v)
+    return members
 
 
 @dataclass(frozen=True)
@@ -114,36 +128,64 @@ def _check_parameters(n: int, k: int) -> None:
         raise CapacityError(f"ground set {n} exceeds the {MAX_GROUND_SET}-bit encoding")
 
 
+def _centers(n: int, k: int) -> list[int]:
+    """The n centers of K(n, k), from the lexicographic block structure.
+
+    The j-subsets of {0..m-1} in lexicographic order are the C(m-1, j-1)
+    subsets that hold 0, then the j-subsets of {1..m-1}.  So center 0 is
+    that first block, and center i >= 1 is center i-1 of the (j-1)-subsets
+    of m-1 elements, next to center i-1 of the j-subsets of m-1 elements
+    shifted past the first block.  ``cen[j][i]`` is center i of the
+    j-subsets of the current m elements, and 0 past the m-th element or
+    where there are no j-subsets, as for j = 0 at every m.
+    """
+    cen = [[0] * n for _ in range(k + 1)]
+    for m in range(1, n + 1):
+        # descending j and i, so cen[j - 1] and cen[j][i - 1] still hold
+        # m - 1; cen(n, k) needs only j >= k - (n - m)
+        for j in range(min(m, k), max(1, k - n + m) - 1, -1):
+            first = comb(m - 1, j - 1)
+            row, shorter = cen[j], cen[j - 1]
+            for i in range(m - 1, 0, -1):
+                row[i] = shorter[i - 1] | row[i - 1] << first
+            row[0] = (1 << first) - 1
+    return cen[k]
+
+
+def _append_rows(adj: list[int], miss: list[int], free: int, start: int, left: int) -> None:
+    """Append, in vertex order, the rows of the vertices that add ``left``
+    elements from ``start`` on to a prefix whose free set, the vertices
+    that miss every prefix element, is ``free``.
+
+    A vertex lies in its own centers, so its row never holds it.
+    """
+    if left == 1:
+        adj.extend([free & last for last in miss[start:]])
+        return
+    for e in range(start, len(miss) - left + 1):
+        _append_rows(adj, miss, free & miss[e], e + 1, left - 1)
+
+
 def build_kneser(n: int, k: int) -> KneserGraph:
     """Construct K(n, k).
 
     Requires n >= 2k >= 2 and adjacency rows within
     graphs.MAX_ADJACENCY_BYTES, which is checked before anything is built.
-    One pass over the k-subsets sets bit i in the bytearray of each element
-    of vertex i, and each bytearray is read as one center; the rows then go
-    prefix by prefix, so the center union of a (k-1)-prefix is formed once
-    and a row is the complement of it and its last element's center.
+    The centers come from ``_centers``.  The row of a vertex is the AND of
+    miss[e] = full ^ C_e over its elements.  The rows go in vertex order:
+    a depth-first walk over the (k-1)-prefixes ANDs one miss onto the free
+    set of the prefix one shorter, and each row is its prefix's free set
+    AND its last element's miss.
     """
     _check_parameters(n, k)
     require_adjacency_fits(comb(n, k), f"K({n},{k})")
     verts = enumerate_k_subsets(n, k)
     order = len(verts)
-    member = [bytearray((order + 7) >> 3) for _ in range(n)]
-    for idx, combo in enumerate(combinations(member, k)):
-        byte, bit = idx >> 3, 1 << (idx & 7)
-        for b in combo:
-            b[byte] |= bit
-    centers = [int.from_bytes(b, "little") for b in member]
+    centers = _centers(n, k)
     full = (1 << order) - 1
-    # rows go in vertex order: each (k-1)-prefix, then each last element
-    # after it.  v lies in its own centers, so its row never holds v itself
-    adj = []
-    for prefix in combinations(range(n - 1), k - 1):
-        meets = 0
-        for e in prefix:
-            meets |= centers[e]
-        for last in centers[prefix[-1] + 1 if prefix else 0:]:
-            adj.append(full ^ (meets | last))
+    miss = [full ^ c for c in centers]
+    adj: list[int] = []
+    _append_rows(adj, miss, full, 0, k)
     return KneserGraph(
         order=order, adj=tuple(adj), n=n, k=k, vertices=tuple(verts),
         centers=tuple(centers),

@@ -96,3 +96,6 @@ def test_out_of_range_message_names_a_huge_int_by_its_bits():
         kd.binom(-10**5000, 1)
     with pytest.raises(DomainError, match=r"k -1 out of range \[0, <16610-bit int>\]"):
         kd.enumerate_k_subsets(10**5000, -1)
+    for fn in (kd.build_kneser, kd.alpha_kneser):
+        with pytest.raises(DomainError, match=r"got n=<16610-bit int> k=<16610-bit int>"):
+            fn(10**5000, 10**5000)

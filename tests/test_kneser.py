@@ -15,6 +15,7 @@ import kneserdiss.kneser as kneser_module
 from kneserdiss import (
     CapacityError,
     DomainError,
+    KSubset,
     build_kneser,
     check_max_degree,
     edge_nonneighbors,
@@ -103,8 +104,8 @@ def test_build_byte_cap_boundary_before_enumeration(monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated vertices past the adjacency cap")
 
-    # K(10,4) has 210 vertices, so 210 * 27 bytes of rows; every pass of the
-    # build goes through combinations
+    # K(10,4) has 210 vertices, so 210 * 27 bytes of rows; the build lists
+    # its vertices through combinations
     with monkeypatch.context() as patch:
         patch.setattr(kneser_module, "combinations", no_enumeration)
         patch.setattr(graphs_module, "MAX_ADJACENCY_BYTES", 210 * 27 - 1)
@@ -178,17 +179,53 @@ def build_digest(g):
 
 
 # recorded from the build that set one center bit per (vertex, element) and
-# ORed a vertex's k centers into its row; the build must reproduce them
+# ORed a vertex's k centers into its row, K(20,6) from the one that filled
+# the centers bytewise; the build must reproduce them
 BUILD_DIGESTS = {
     (5, 2): "96573e3daf569ac15aa4e1eef85f965ffc8c4e358dd814712ac7449dcba9d286",
     (12, 5): "c79d9877d3575fddbdfa11c5b2765e6dad1397e3727dd547ddf19d9d65a8ab3c",
     (17, 6): "8677ca3f632c57f3410c2e50adde39804ddbe25e07b3bc88161080d32fc27a67",
+    (20, 6): "7328430f3b8177d6bde0f90f21d4c529d465adc4ac01a0bc97f206a7ee618711",
 }
 
 
 @pytest.mark.parametrize("n,k", sorted(BUILD_DIGESTS))
 def test_build_matches_recorded_digests(n, k):
     assert build_digest(build_kneser(n, k)) == BUILD_DIGESTS[(n, k)]
+
+
+@pytest.mark.parametrize("n,k", [(64, 1), (64, 2)] + [(2 * k, k) for k in range(1, 8)])
+def test_build_at_the_edges_matches_set_oracle(n, k):
+    # the widest ground set, k = 1 with its empty prefix, and n = 2k, where
+    # the lexicographic blocks are smallest.  K(2k,k) is a perfect matching,
+    # each vertex's one neighbour the complement of its set; elsewhere each
+    # row is checked by the vertices it misses, those meeting the vertex
+    g = build_kneser(n, k)
+    verts = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+    assert [frozenset(v.elements) for v in g.vertices] == verts
+    for e in range(1, n + 1):
+        assert set(bits(g.centers[e - 1])) == {i for i, v in enumerate(verts) if e in v}
+    if n == 2 * k:
+        index = {v: i for i, v in enumerate(verts)}
+        ground = frozenset(range(1, n + 1))
+        assert list(g.adj) == [1 << index[ground - v] for v in verts]
+    else:
+        meets = [[j for j, w in enumerate(verts) if not v.isdisjoint(w)] for v in verts]
+        assert [list(bits(g.full_mask ^ row)) for row in g.adj] == meets
+
+
+@pytest.mark.parametrize("n,k", [(5, 0), (5, 2), (10, 5), (64, 1), (64, 2)])
+def test_enumerated_members_are_checked_ksubsets(n, k):
+    # enumerate_k_subsets skips KSubset's check; each member must still be
+    # what the checked constructor makes
+    for v in enumerate_k_subsets(n, k):
+        checked = KSubset(v.mask, n)
+        assert type(v) is KSubset and (v.mask, v.ground_n) == (checked.mask, n)
+        assert v == checked and hash(v) == hash(checked) and repr(v) == repr(checked)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.mask = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.ground_n = 3
 
 
 def test_build_petersen():
@@ -586,6 +623,12 @@ def test_graph_input_checks(call):
     (lambda: kneser_module.KSubset(0, kneser_module.MAX_GROUND_SET + 1), CapacityError),
     (lambda: kneser_module.KSubset(1 << 5, 5), DomainError),
     (lambda: kneser_module.KSubset(-1, 5), DomainError),
+    # a bool, a float or a string is no mask or ground set size
+    (lambda: kneser_module.KSubset(True, 5), DomainError),
+    (lambda: kneser_module.KSubset(1, 2.5), DomainError),
+    (lambda: kneser_module.KSubset(1.0, 5), DomainError),
+    (lambda: kneser_module.KSubset("a", 5), DomainError),
+    (lambda: kneser_module.KSubset(1, True), DomainError),
     (lambda: repr(kneser_module.KSubset(0b1011, 5)), "{1,2,4}"),
     (lambda: repr(kneser_module.KSubset(0, 5)), "{}"),
 ])
