@@ -29,9 +29,9 @@ for k in (2, 3):
     worst = None
     for size in range(1, len(center) + 1):
         for sub in combinations(center, size):
-            assert odd_expansion_check(k, sub, g)
+            assert odd_expansion_check(g, sub)
             checked += 1
-            ratio = odd_neighborhood(k, sub, g)[2].bit_count() / len(sub)
+            ratio = odd_neighborhood(g, sub)[1].bit_count() / len(sub)
             if worst is None or ratio < worst[0]:
                 worst = (ratio, size)
     print(f"expansion holds for all {checked} nonempty subsets; "
@@ -41,7 +41,7 @@ for k in (2, 3):
     rng = random.Random(k)
     for _ in range(3):
         sub = rng.sample(center, rng.randint(2, len(center)))
-        res = odd_hall_matching(k, sub, g)
+        res = odd_hall_matching(g, sub)
         pairs = [(g.vertices[x].elements, g.vertices[y].elements)
                  for x, y in res.matching]
         print(f"|L|={len(sub)}: saturating matching, e.g. "

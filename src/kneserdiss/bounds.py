@@ -217,7 +217,7 @@ SRC_PAIRS = "pairs_closed_form"            # k=2: max(n-1, 6)
 SRC_TRIPLES = "triples_equal_independence"  # k=3, n>=8: alpha
 SRC_MATCHING = "perfect_matching_graph"     # n=2k: whole vertex set
 SRC_ODD = "odd_graph"                       # n=2k+1: C(2k,k)
-SRC_CLOSURE = "bound_closure"               # best lower meets an edge upper bound
+SRC_CLOSURE = "bound_closure"               # best lower meets best upper
 
 
 def known_exact(n: int, k: int) -> tuple[int, str] | None:
@@ -273,10 +273,9 @@ def report(n: int, k: int) -> BoundReport:
         BoundEntry("independence_number", alpha),
         BoundEntry("matching_subgraph", subgraph_lower(n, k)),
     ]
-    edge_upper = combined_upper(n, k)
     upper = [
         BoundEntry("twice_independence", 2 * alpha),
-        BoundEntry("case_split", edge_upper),
+        BoundEntry("case_split", combined_upper(n, k)),
     ]
     for name, bound in (("katona_large_r", katona_upper_large_r),
                         ("katona_small_r", katona_upper_small_r)):
@@ -284,9 +283,8 @@ def report(n: int, k: int) -> BoundReport:
         if frac is not None:
             upper.append(BoundEntry(name, floor(frac), frac))
     if k <= EDGE_LOCAL_MAX_K:
-        edge_upper = edge_local_upper(n, k)
         # last, so that an older bound it ties stays the one named
-        upper.append(BoundEntry("edge_local", edge_upper))
+        upper.append(BoundEntry("edge_local", edge_local_upper(n, k)))
 
     # the interval is formed from the bound lists alone; known_exact rides
     # alongside so that solver pruning never quotes the value it must prove
@@ -302,7 +300,7 @@ def report(n: int, k: int) -> BoundReport:
         exact = comb(2 * k, k), SRC_MATCHING
     elif n == 2 * k + 1:
         exact = comb(2 * k, k), SRC_ODD
-    elif edge_upper == best_lower:  # the sharpest edge bound closes the interval
+    elif best_lower == best_upper:
         exact = best_lower, SRC_CLOSURE
     else:
         exact = None

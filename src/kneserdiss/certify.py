@@ -16,8 +16,8 @@ from math import comb, factorial
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, require_int
-from .graphs import GenericGraph, bits, vertex_mask
-from .kneser import KneserGraph, KSubset, build_kneser
+from .graphs import GenericGraph, bits, mask_of, vertex_mask
+from .kneser import KneserGraph, KSubset
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
 ODD_CENTER_CAP = 24  # odd_expansion_violator checks all 2^c - 1 sets L
@@ -125,17 +125,23 @@ def find_x_matching(x_side, y_side, edges) -> MatchingResult:
     return MatchingResult(matching=tuple((x, match_x[x]) for x in xs))
 
 
-def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[KneserGraph, int, int]:
-    """The odd graph K(2k+1, k), L and N(L) n D, the last two as bitsets.
+def _odd_graph(g) -> int:
+    """k of the odd graph g = K(2k+1, k), k >= 2; anything else is refused."""
+    if isinstance(g, KneserGraph) and g.k >= 2 and g.n == 2 * g.k + 1:
+        return g.k
+    shown = f"K({g.n},{g.k})" if isinstance(g, KneserGraph) else f"a {type(g).__name__}"
+    raise DomainError(f"need an odd graph K(2k+1, k) with k >= 2, got {shown}")
+
+
+def odd_neighborhood(g: KneserGraph, subset) -> tuple[int, int]:
+    """L and N(L) n D in the odd graph g = K(2k+1, k), as bitsets.
 
     L must be a nonempty subset of the center of element 2k+1; D is the set
     of vertices avoiding 2k+1 (they induce a perfect matching).
     """
-    g = _odd_graph(k, g)
+    k = _odd_graph(g)
     center = g.center_mask(2 * k + 1)
-    lmask = 0
-    for item in subset:
-        lmask |= 1 << g.vertex_index(item)
+    lmask = mask_of(g.vertex_index(item) for item in subset)
     if lmask == 0:
         raise DomainError("L must be nonempty")
     if lmask & ~center:
@@ -144,23 +150,13 @@ def odd_neighborhood(k: int, subset, g: KneserGraph | None = None) -> tuple[Knes
     nbhd = 0
     for v in bits(lmask):
         nbhd |= g.adj[v]
-    return g, lmask, nbhd & ~center
+    return lmask, nbhd & ~center
 
 
-def _odd_graph(k: int, g: KneserGraph | None) -> KneserGraph:
-    """The odd graph K(2k+1, k): g, which must be it, or a new build."""
-    require_int("k", k, 2)
-    if g is None:
-        return build_kneser(2 * k + 1, k)
-    if (g.n, g.k) != (2 * k + 1, k):
-        raise DomainError(f"graph is not the odd graph K({2 * k + 1},{k})")
-    return g
-
-
-def odd_expansion_check(k: int, subset, g: KneserGraph | None = None) -> bool:
-    """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph K(2k+1, k)."""
-    _, lmask, nbhd = odd_neighborhood(k, subset, g)
-    return k * nbhd.bit_count() >= (k + 1) * lmask.bit_count()
+def odd_expansion_check(g: KneserGraph, subset) -> bool:
+    """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph g = K(2k+1, k)."""
+    lmask, nbhd = odd_neighborhood(g, subset)
+    return g.k * nbhd.bit_count() >= (g.k + 1) * lmask.bit_count()
 
 
 def _subset_unions(rows: list[int]) -> tuple[list[int], list[int]]:
@@ -172,18 +168,18 @@ def _subset_unions(rows: list[int]) -> tuple[list[int], list[int]]:
     return unions, sizes
 
 
-def odd_expansion_violator(k: int, g: KneserGraph | None = None) -> frozenset | None:
+def odd_expansion_violator(g: KneserGraph) -> frozenset | None:
     """A nonempty L in the center of 2k+1 with k*|N(L) n D| < (k+1)*|L|, or None.
 
-    Every L is checked exactly, as odd_expansion_check does one at a time:
-    the c center rows below are split in two halves whose subset unions are
-    tabled once, so a set L costs one OR of two table entries (memory
-    O(2^ceil(c/2))).  c = C(2k, k-1) is capped first, at ODD_CENTER_CAP.
+    Every L of the odd graph g = K(2k+1, k) is checked exactly, as
+    odd_expansion_check does one at a time: the c center rows below are
+    split in two halves whose subset unions are tabled once, so a set L
+    costs one OR of two table entries (memory O(2^ceil(c/2))).
+    c = C(2k, k-1) is capped first, at ODD_CENTER_CAP.
     """
-    require_int("k", k, 2)
+    k = _odd_graph(g)
     if comb(2 * k, k - 1) > ODD_CENTER_CAP:
         raise CapacityError(f"center of K({2 * k + 1},{k}) exceeds {ODD_CENTER_CAP} vertices")
-    g = _odd_graph(k, g)
     center = g.center_mask(2 * k + 1)
     below = g.full_mask & ~center
     cv = list(bits(center))
@@ -198,13 +194,13 @@ def odd_expansion_violator(k: int, g: KneserGraph | None = None) -> frozenset | 
     return None
 
 
-def odd_hall_matching(k: int, subset, g: KneserGraph | None = None) -> MatchingResult:
-    """Matching of L into D along the edges of K(2k+1, k), or a Hall violator.
+def odd_hall_matching(g: KneserGraph, subset) -> MatchingResult:
+    """Matching of L into D along the edges of the odd graph g, or a Hall violator.
 
     This is the bipartite graph behind diss(K(2k+1, k)) = C(2k, k), with L
     and D as in odd_expansion_check; vertices are graph indices.
     """
-    g, lmask, nbhd = odd_neighborhood(k, subset, g)
+    lmask, nbhd = odd_neighborhood(g, subset)
     edges = [(u, v) for u in bits(lmask) for v in bits(g.adj[u] & nbhd)]
     return find_x_matching(bits(lmask), bits(nbhd), edges)
 
@@ -216,8 +212,12 @@ class CyclicArrangement:
     order: tuple[int, ...]
 
     def __post_init__(self):
+        # a list would leave the frozen object unhashable
+        object.__setattr__(self, "order", tuple(self.order))
         n = len(self.order)
-        if not n or sorted(self.order) != list(range(1, n + 1)):
+        for e in self.order:
+            require_int("element", e, 1, n)
+        if not n or len(set(self.order)) != n:
             raise DomainError("order must be a permutation of [n], n >= 1")
         if self.order[0] != 1:
             raise DomainError("normalized arrangements start with element 1")

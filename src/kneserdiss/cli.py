@@ -191,14 +191,14 @@ def _reproduce_rows(groups, budget, rng):
         for k in (2, 3):
             g = build_kneser(2 * k + 1, k)
             center = list(bits(g.center_mask(2 * k + 1)))
-            ok = certify.odd_expansion_violator(k, g) is None
+            ok = certify.odd_expansion_violator(g) is None
             rows.append(_row(f"expansion holds for all L in O_{k}", "hall",
                              True, ok, "oracle"))
 
             # drawn up front, so all() stopping early skips no draw
             samples = [rng.sample(center, rng.randint(1, len(center)))
                        for _ in range(200)]
-            saturated = all(certify.odd_hall_matching(k, sub, g).saturated
+            saturated = all(certify.odd_hall_matching(g, sub).saturated
                             for sub in samples)
             rows.append(_row(f"matchings saturate 200 sampled L in O_{k}",
                              "hall", True, saturated, "oracle"))

@@ -110,7 +110,13 @@ def vertex_mask(g: GenericGraph, s) -> int:
 def graph_from_edges(order: int, edges) -> GenericGraph:
     require_int("order", order, 0)
     adj = [0] * order
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise DomainError(f"edge {edge!r} is not a pair of vertices") from None
+        if type(u) is not int or type(v) is not int:  # True is no vertex 1
+            raise DomainError(f"edge {edge!r} names a vertex that is not an int")
         if u == v:
             raise DomainError(f"loop at vertex {u}")
         if not (0 <= u < order and 0 <= v < order):

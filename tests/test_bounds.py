@@ -270,19 +270,19 @@ def test_report_json_shape():
 
 
 def test_closure_source_exists():
-    # bound closure fires whenever max lower meets min upper without a theorem
-    found = None
-    for k in range(4, 6):
-        for n in range(2 * k + 2, 12 * k):
-            if known_exact(n, k) and known_exact(n, k)[1] == SRC_CLOSURE:
-                found = (n, k)
-                break
-        if found:
-            break
-    if found:
-        n, k = found
-        value, _ = known_exact(n, k)
-        assert value == alpha_kneser(n, k)
+    # bound closure names exactly the closed intervals that no theorem
+    # settles first, and every one of them closes at alpha
+    closures = 0
+    for k in range(2, 13):
+        for n in list(range(2 * k, 6 * k + 30)) + [3 * k * k, 4 * k ** 3]:
+            r = report(n, k)
+            theorem = k == 2 or (k == 3 and n >= 8) or n in (2 * k, 2 * k + 1)
+            by_closure = r.known_exact is not None and r.known_exact[1] == SRC_CLOSURE
+            assert by_closure == (r.best_lower == r.best_upper and not theorem), (n, k)
+            if by_closure:
+                assert r.known_exact[0] == r.best_lower == alpha_kneser(n, k), (n, k)
+                closures += 1
+    assert closures
 
 
 def _edge_local_from_graph(n, k):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import random
 import sys
 from itertools import combinations, permutations
@@ -9,6 +10,7 @@ from kneserdiss import (
     CapacityError,
     CyclicArrangement,
     DomainError,
+    GenericGraph,
     KSubset,
     all_arrangements,
     build_kneser,
@@ -138,14 +140,14 @@ def test_matching_random_instances_verified():
 def test_odd_expansion_single_vertex():
     g = build_kneser(5, 2)
     for v in bits(g.center_mask(5)):
-        assert odd_expansion_check(2, [v], g)
+        assert odd_expansion_check(g, [v])
 
 
 def test_odd_expansion_full_centers():
     for k in (2, 3):
         g = build_kneser(2 * k + 1, k)
         center = list(bits(g.center_mask(2 * k + 1)))
-        assert odd_expansion_check(k, center, g)
+        assert odd_expansion_check(g, center)
         # every center vertex has exactly k+1 neighbors below
         bottom = g.full_mask & ~g.center_mask(2 * k + 1)
         for v in center:
@@ -157,12 +159,12 @@ def test_odd_expansion_exhaustive_o2():
     center = list(bits(g.center_mask(5)))
     for size in range(1, len(center) + 1):
         for sub in combinations(center, size):
-            assert odd_expansion_check(2, sub, g)
+            assert odd_expansion_check(g, sub)
 
 
-def expansion_fails(k, sub, g):
-    _, lmask, nbhd = odd_neighborhood(k, sub, g)
-    return k * nbhd.bit_count() < (k + 1) * lmask.bit_count()
+def expansion_fails(g, sub):
+    lmask, nbhd = odd_neighborhood(g, sub)
+    return g.k * nbhd.bit_count() < (g.k + 1) * lmask.bit_count()
 
 
 def without_edges(g, edges):
@@ -186,20 +188,20 @@ def test_odd_expansion_violator_agrees_with_every_l():
     one_vertex = [without_edges(g, [(v, u) for v in bits(g.adj[u] & ~below)])
                   for u in bits(below)]
     for h in [g] + one_edge + one_vertex:
-        violator = odd_expansion_violator(2, h)
-        failing = [sub for sub in every_l if expansion_fails(2, sub, h)]
+        violator = odd_expansion_violator(h)
+        failing = [sub for sub in every_l if expansion_fails(h, sub)]
         assert (violator is None) == (not failing)
         if violator is not None:
-            assert expansion_fails(2, violator, h) and violator <= set(center)
+            assert expansion_fails(h, violator) and violator <= set(center)
     # one lost edge never breaks expansion, as the edge count shows; a
     # vertex below cut from the center always does
     assert len(one_edge) == 12 and len(one_vertex) == 6
-    assert all(odd_expansion_violator(2, h) is None for h in one_edge)
-    assert all(odd_expansion_violator(2, h) is not None for h in one_vertex)
-    assert odd_expansion_violator(2) is None
+    assert all(odd_expansion_violator(h) is None for h in one_edge)
+    assert all(odd_expansion_violator(h) is not None for h in one_vertex)
+    assert odd_expansion_violator(g) is None
     # O_3 holds; test_criterion_10_odd_graph_expansion checks its 2^15 - 1
     # sets L one at a time
-    assert odd_expansion_violator(3) is None
+    assert odd_expansion_violator(build_kneser(7, 3)) is None
 
 
 def test_odd_expansion_violator_on_a_corrupted_o3():
@@ -208,12 +210,12 @@ def test_odd_expansion_violator_on_a_corrupted_o3():
     below = g.full_mask & ~center
     u = next(bits(below))
     h = without_edges(g, [(v, u) for v in bits(g.adj[u] & center)])
-    violator = odd_expansion_violator(3, h)
+    violator = odd_expansion_violator(h)
     assert violator and isinstance(violator, frozenset)
-    assert expansion_fails(3, violator, h) and not expansion_fails(3, violator, g)
+    assert expansion_fails(h, violator) and not expansion_fails(g, violator)
     # a single lost edge leaves the odd graph expanding
     v = next(bits(center))
-    assert odd_expansion_violator(3, without_edges(g, [(v, next(bits(g.adj[v] & below)))])) is None
+    assert odd_expansion_violator(without_edges(g, [(v, next(bits(g.adj[v] & below)))])) is None
 
 
 def test_odd_expansion_violator_contract(monkeypatch):
@@ -221,18 +223,36 @@ def test_odd_expansion_violator_contract(monkeypatch):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(certify_module, "_subset_unions", no_table)
-    monkeypatch.setattr(certify_module, "build_kneser", no_table)
     # the center of K(9,4) has C(8,3) = 56 vertices
-    with pytest.raises(CapacityError):
-        odd_expansion_violator(4)
-    with pytest.raises(CapacityError):
-        odd_expansion_violator(4, build_kneser(9, 4))
-    for k in (1, 0, -1):
-        with pytest.raises(DomainError):
-            odd_expansion_violator(k)
-    for k, g in ((3, build_kneser(5, 2)), (2, build_kneser(6, 2)), (2, build_kneser(5, 1))):
-        with pytest.raises(DomainError):
-            odd_expansion_violator(k, g)
+    with pytest.raises(CapacityError, match="exceeds 24 vertices"):
+        odd_expansion_violator(build_kneser(9, 4))
+
+
+ODD_GRAPH_CALLS = {
+    "odd_neighborhood": lambda g: odd_neighborhood(g, [0]),
+    "odd_expansion_check": lambda g: odd_expansion_check(g, [0]),
+    "odd_hall_matching": lambda g: odd_hall_matching(g, [0]),
+    "odd_expansion_violator": odd_expansion_violator,
+}
+
+
+@pytest.mark.parametrize("name", ODD_GRAPH_CALLS)
+def test_odd_graph_functions_take_the_graph_alone(name):
+    # the graph is the one required first argument; there is no k to agree with it
+    fn = getattr(certify_module, name)
+    assert next(iter(inspect.signature(fn).parameters)) == "g"
+    assert "k" not in inspect.signature(fn).parameters
+    petersen = build_kneser(5, 2)
+    not_odd = [
+        GenericGraph(order=petersen.order, adj=petersen.adj),  # its rows, not its type
+        build_kneser(6, 2),
+        build_kneser(3, 1),
+        None,
+        2,
+    ]
+    for g in not_odd:
+        with pytest.raises(DomainError, match="odd graph"):
+            ODD_GRAPH_CALLS[name](g)
 
 
 def test_odd_neighborhood_is_the_union_of_rows_below():
@@ -245,30 +265,25 @@ def test_odd_neighborhood_is_the_union_of_rows_below():
             nbrs = 0
             for v in sub:
                 nbrs |= g.adj[v]
-            same, lmask, nbhd = odd_neighborhood(k, sub, g)
-            assert same is g and lmask == mask_of(sub) and nbhd == nbrs & bottom, (k, sub)
-    # without a graph it builds the odd graph
-    g, lmask, nbhd = odd_neighborhood(2, [(1, 5)])
-    assert (g.n, g.k) == (5, 2) and lmask.bit_count() == 1 and nbhd.bit_count() == 3
+            lmask, nbhd = odd_neighborhood(g, sub)
+            assert lmask == mask_of(sub) and nbhd == nbrs & bottom, (k, sub)
 
 
 def test_odd_expansion_contract_errors():
     g = build_kneser(5, 2)
     outside = next(iter(bits(g.full_mask & ~g.center_mask(5))))
     for check in (odd_expansion_check, odd_hall_matching, odd_neighborhood):
-        with pytest.raises(DomainError):
-            check(2, [outside], g)
-        with pytest.raises(DomainError):
-            check(2, [], g)
-        with pytest.raises(DomainError):
-            check(3, [0], g)
+        with pytest.raises(DomainError, match="inside the center"):
+            check(g, [outside])
+        with pytest.raises(DomainError, match="nonempty"):
+            check(g, [])
 
 
 def test_odd_neighborhood_rejects_bools():
     g = build_kneser(5, 2)
     for flag in (True, False):
         with pytest.raises(DomainError, match="bool"):
-            odd_neighborhood(2, [flag], g)
+            odd_neighborhood(g, [flag])
 
 
 def test_odd_hall_matching_saturates_o2():
@@ -278,7 +293,7 @@ def test_odd_hall_matching_saturates_o2():
     center = list(bits(g.center_mask(5)))
     for size in range(1, len(center) + 1):
         for sub in combinations(center, size):
-            res = odd_hall_matching(2, sub, g)
+            res = odd_hall_matching(g, sub)
             assert res.saturated
             assert sorted(x for x, _ in res.matching) == sorted(sub)
             ys = [y for _, y in res.matching]
@@ -290,6 +305,9 @@ def test_odd_hall_matching_saturates_o2():
 def test_arrangement_normalization():
     c = CyclicArrangement(order=(1, 2, 5, 3, 4))
     assert c.order == (1, 2, 5, 3, 4)
+    # a list order is held as a tuple, so the frozen object hashes
+    listed = CyclicArrangement(order=[1, 2, 5, 3, 4])
+    assert listed.order == c.order and hash(listed) == hash(c)
     for order in ((2, 1, 3), (3, 4, 1, 2, 5), (1, 2, 2), (1, 2, 4)):
         with pytest.raises(DomainError):
             CyclicArrangement(order=order)
@@ -412,7 +430,7 @@ def test_family_validation():
     (lambda: find_x_matching(range(certify_module.X_SIDE_CAP + 1), [], []), CapacityError),
     (lambda: find_x_matching([1], [2], [(1, 3)]), DomainError),
     (lambda: find_x_matching([1], [2], [(3, 2)]), DomainError),
-    (lambda: odd_neighborhood(1, [(3,)]), DomainError),
+    (lambda: odd_neighborhood(build_kneser(3, 1), [(3,)]), DomainError),
     (lambda: CyclicArrangement((1, 2, 3)).window_masks(0), DomainError),
     (lambda: CyclicArrangement((1, 2, 3)).window_masks(4), DomainError),
     (lambda: list(all_arrangements(0)), DomainError),

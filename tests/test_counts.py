@@ -1,8 +1,10 @@
 """Every public count argument refuses a float, a bool and a string.
 
-K(n, k), the windows of an arrangement of {1..n} and the odd graph exist
-only for integers, so each count, index and element goes through
-``errors.require_int`` and raises DomainError.  Unchecked, a float or a
+K(n, k) and the windows of an arrangement of {1..n} exist only for
+integers, so each count, index and element goes through
+``errors.require_int`` and raises DomainError.  The odd-graph checks take
+the graph itself, not k; test_certify covers their refusal of anything
+that is not an odd graph.  Unchecked, a float or a
 string raises TypeError inside the arithmetic, and a bool, which Python
 counts as an int, gives a wrong answer with no error at all.
 """
@@ -53,10 +55,13 @@ COUNTS = [
      (ALL, ALL)),
     ("substrings_in_arrangement", lambda k: kd.substrings_in_arrangement(RING, [], k), (2,),
      (ALL,)),
-    ("odd_neighborhood", lambda k: kd.odd_neighborhood(k, [(1, 5)]), (2,), (NO_BOOL,)),
-    ("odd_expansion_check", lambda k: kd.odd_expansion_check(k, [(1, 5)]), (2,), (NO_BOOL,)),
-    ("odd_hall_matching", lambda k: kd.odd_hall_matching(k, [(1, 5)]), (2,), (NO_BOOL,)),
-    ("odd_expansion_violator", kd.odd_expansion_violator, (2,), (NO_BOOL,)),
+    # the odd-graph checks take the graph; an element of a vertex of L is
+    # their one count (test_kneser covers a bool element)
+    ("odd_neighborhood", lambda e: kd.odd_neighborhood(PETERSEN, [(1, e)]), (5,), (NO_BOOL,)),
+    ("odd_expansion_check", lambda e: kd.odd_expansion_check(PETERSEN, [(1, e)]), (5,),
+     (NO_BOOL,)),
+    ("odd_hall_matching", lambda e: kd.odd_hall_matching(PETERSEN, [(1, e)]), (5,), (NO_BOOL,)),
+    ("CyclicArrangement", lambda e: kd.CyclicArrangement((1, 2, e)), (3,), (ALL,)),
 ]
 
 

@@ -162,7 +162,7 @@ def test_vertex_index_rejects_non_vertices():
         with pytest.raises(DomainError, match="not an int"):
             g.center_mask(bad)
     with pytest.raises(DomainError, match="not an int"):
-        odd_neighborhood(2, [(True, 5)], g)
+        odd_neighborhood(g, [(True, 5)])
 
 
 def build_digest(g):
@@ -617,6 +617,19 @@ def test_build_needs_no_numpy():
 def test_graph_input_checks(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("edge, message", [
+    ((0, True), r"edge \(0, True\) names a vertex that is not an int"),
+    ((0, 1.5), r"edge \(0, 1.5\) names a vertex that is not an int"),
+    ((0, "1"), r"edge \(0, '1'\) names a vertex that is not an int"),
+    ((0, 1, 2), r"edge \(0, 1, 2\) is not a pair of vertices"),
+    (5, "edge 5 is not a pair of vertices"),
+])
+def test_graph_from_edges_names_a_bad_edge(edge, message):
+    # True once made the edge 0-1; the others raised TypeError or ValueError
+    with pytest.raises(DomainError, match=message):
+        graph_from_edges(3, [(1, 2), edge])
 
 
 @pytest.mark.parametrize("call, expect", [
