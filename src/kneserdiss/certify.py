@@ -213,7 +213,11 @@ class CyclicArrangement:
 
     def __post_init__(self):
         # a list would leave the frozen object unhashable
-        object.__setattr__(self, "order", tuple(self.order))
+        try:
+            order = tuple(self.order)
+        except TypeError:
+            raise DomainError(f"order must be a sequence of elements, got {self.order!r}") from None
+        object.__setattr__(self, "order", order)
         n = len(self.order)
         for e in self.order:
             require_int("element", e, 1, n)

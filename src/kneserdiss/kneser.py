@@ -86,7 +86,7 @@ class KneserGraph(GenericGraph):
 
     n: int = 0
     k: int = 0
-    vertices: tuple[KSubset, ...] = ()
+    vertices: tuple[KSubset, ...] = field(default=(), repr=False)
     # centers[e-1]: bitset of the vertices that contain element e
     centers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 

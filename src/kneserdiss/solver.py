@@ -17,6 +17,13 @@ narrows free from the top layer down to the vertices of maximum
 free-degree; the branch vertex is the lowest of them.  The general-d
 engine's state is (free, chosen).
 
+An engine is a state builder and one node function,
+``expand(state, incumbent, push)``.  The search is one depth-first loop
+over one stack: it pops a state and expands it.  ``expand`` pushes the
+exclude child and then the include child, so the include child is popped
+first; it pushes nothing when the bound prunes, and it returns the
+endgame's witness, an exact optimum of the node, when no branch is left.
+
 The general-d engine branches on the most constrained free vertex, fail
 first: the most chosen neighbours, then the most free neighbours, then
 the lowest index.  At d=0 no free vertex has a chosen neighbour, so the
@@ -181,91 +188,73 @@ def _free_degree_layers(adj, free):
     return tuple(layers)
 
 
-def _deg1_branch(adj, free, counted, layers):
-    """(v, layers): v is the free vertex of maximum free-degree, lowest index
-    on ties, or -1 once no free vertex has a free neighbour, and the layers
-    count every free vertex's free-degree.
+def _deg1_engine(adj):
+    """(start, expand) of the d=1 engine; ``_engine`` says what they do."""
 
-    The given ``layers`` count each vertex of ``counted``, a superset of
-    ``free``, on ``counted``.  They catch up by subtracting the row of every
-    vertex that left.
-    """
-    gone = counted & ~free
-    if gone:
-        layers = list(layers)
-        while gone:
-            lsb = gone & -gone
-            gone ^= lsb
-            # one borrow chain takes 1 off each free neighbour; rows ANDed
-            # with free never borrow at a vertex outside it
-            b = adj[lsb.bit_length() - 1] & free
-            i = 0
-            while b:
-                layers[i] ^= b
-                b &= layers[i]  # borrow where the bit was clear
-                i += 1
-        layers = tuple(layers)
-    # narrowing free from the top layer down leaves the maximum counts
-    top = free
-    for c in reversed(layers):
-        t = top & c
-        if t:
-            top = t
-    v = (top & -top).bit_length() - 1
-    if v < 0 or not adj[v] & free:
-        return -1, layers
-    return v, layers
+    def start(free, chosen):
+        return free, 0, 0, free, _free_degree_layers(adj, free), chosen
 
-
-def _deg1_children(adj, state, incumbent):
-    """Include/exclude children for the branch vertex, [] when the counting
-    bound prunes, or None at the endgame.
-
-    The counters catch up only here, past the bound, and the children
-    inherit them as counted on this node's free set.
-    """
-    free, unsat, seen, counted, layers, chosen = state
-    # undecided vertices off ``seen`` may all join; those on it, at most
-    # one per unsaturated vertex
-    sc = (seen & free).bit_count()
-    if chosen.bit_count() + free.bit_count() - sc + min(sc, unsat.bit_count()) <= incumbent:
-        return []
-    v, layers = _deg1_branch(adj, free, counted, layers)
-    if v < 0:
-        # no undecided-undecided edges left: the closure is exact
+    def expand(state, incumbent, push):
+        free, unsat, seen, counted, layers, chosen = state
+        # undecided vertices off ``seen`` may all join; those on it, at most
+        # one per unsaturated vertex
+        sc = (seen & free).bit_count()
+        u = unsat.bit_count()
+        if chosen.bit_count() + free.bit_count() - sc + (u if u < sc else sc) <= incumbent:
+            return None
+        # past the bound the counters catch up on free, subtracting the row
+        # of every vertex that left; the children inherit them, counted on
+        # this node's free set.  A catch-up copies the layers, so children
+        # may share them
+        gone = counted & ~free
+        if gone:
+            layers = list(layers)
+            while gone:
+                lsb = gone & -gone
+                gone ^= lsb
+                # one borrow chain takes 1 off each free neighbour; rows
+                # ANDed with free never borrow at a vertex outside it
+                b = adj[lsb.bit_length() - 1] & free
+                i = 0
+                while b:
+                    layers[i] ^= b
+                    b &= layers[i]  # borrow where the bit was clear
+                    i += 1
+        # narrowing free from the top layer down leaves the vertices of
+        # maximum free-degree; the branch vertex is the lowest of them
+        top = free
+        for c in reversed(layers):
+            t = top & c
+            if t:
+                top = t
+        v = (top & -top).bit_length() - 1
+        if v < 0 or not (a := adj[v]) & free:
+            # no undecided-undecided edges left: the closure is exact, with
+            # one partner per unsaturated vertex, the lowest
+            wit = chosen | (free & ~seen)
+            m = unsat
+            while m:
+                lsb = m & -m
+                m ^= lsb
+                su = adj[lsb.bit_length() - 1] & seen & free
+                wit |= su & -su
+            return wit
+        vbit = 1 << v
+        push((free & ~vbit, unsat, seen, free, layers, chosen))
+        ku = a & unsat
+        if ku == 0:
+            # v starts a new unsaturated inclusion; undecided neighbours that
+            # already touch an unsaturated vertex would reach two and go out
+            nfree = free & ~vbit & ~(a & free & seen)
+            push((nfree, unsat | vbit, seen | (a & nfree), free, layers, chosen | vbit))
+        else:
+            # v pairs up with its unsaturated neighbour, the only chosen one
+            # a free vertex can have; both saturate
+            nfree = free & ~vbit & ~a & ~adj[ku.bit_length() - 1]
+            push((nfree, unsat & ~ku, seen & nfree, free, layers, chosen | vbit))
         return None
-    vbit = 1 << v
-    out = []
-    ku = adj[v] & unsat
-    if ku == 0:
-        # v starts a new unsaturated inclusion; undecided neighbors that
-        # already touch an unsaturated vertex would reach two and go out
-        nbf = adj[v] & free
-        nfree = free & ~vbit & ~(nbf & seen)
-        out.append((nfree, unsat | vbit, seen | (adj[v] & nfree), free, layers, chosen | vbit))
-    else:
-        # v pairs up with its unsaturated neighbor, the only chosen one a
-        # free vertex can have; both saturate
-        u = ku.bit_length() - 1
-        nfree = free & ~vbit & ~adj[v] & ~adj[u]
-        out.append((nfree, unsat & ~ku, seen & nfree, free, layers, chosen | vbit))
-    out.append((free & ~vbit, unsat, seen, free, layers, chosen))
-    return out
 
-
-def _deg1_closure(adj, state):
-    """Witness of the exact optimum once no undecided-undecided edges remain."""
-    free, unsat, seen, *_, chosen = state
-    wit = chosen | (free & ~seen)
-    m = unsat
-    while m:
-        lsb = m & -m
-        u = lsb.bit_length() - 1
-        m ^= lsb
-        su = adj[u] & seen & free
-        # one partner per unsaturated vertex; lowest index, deterministic
-        wit |= su & -su
-    return wit
+    return start, expand
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +262,10 @@ def _deg1_closure(adj, state):
 # ---------------------------------------------------------------------------
 
 
-def _degd_children(adj, d, state, incumbent):
-    """Include/exclude children, [] when the degree-counting bound prunes
-    or the drops leave fewer than need free vertices, or None once nothing
-    is undecided.
+def _degd_expand(adj, d, state, incumbent, push):
+    """The general-d node function (``_engine``): nothing pushed when the
+    degree-counting bound prunes or the drops leave fewer than need free
+    vertices, and the chosen set returned once nothing is undecided.
 
     One pass over R = free | chosen collects what the bound in the module
     docstring needs: the weights max(r, 2r - d) of the free vertices left,
@@ -302,9 +291,9 @@ def _degd_children(adj, d, state, incumbent):
     need = incumbent - chosen.bit_count() + 1  # free vertices a better completion must add
     size = free.bit_count()
     if size < need:
-        return []
-    if not free:
         return None
+    if not free:
+        return chosen
     # an include child that removes more than room free vertices, its own
     # included, keeps fewer than need - 1
     room = size - need + 1
@@ -328,7 +317,7 @@ def _degd_children(adj, d, state, incumbent):
             # a front with more than room free neighbours condemns them
             # all, which leaves fewer than need
             if r - front > room:
-                return []
+                return None
             fronts |= lsb
             if grouped:
                 fs = a & free
@@ -381,14 +370,14 @@ def _degd_children(adj, d, state, incumbent):
     # a better completion takes need of the vertices left, and weights are
     # nonnegative, so it needs the need smallest weights to fit in the slack
     if len(weights) < need:
-        return []
+        return None
     if need > 0:
         weights.sort()
         if sum(weights[:need]) > slack:
-            return []
-    free = left
-
-    return [_degd_include(adj, d, free, chosen, v), (free & ~(1 << v), chosen)]
+            return None
+    push((left & ~(1 << v), chosen))
+    push(_degd_include(adj, d, left, chosen, v))
+    return None
 
 
 def _wider_groups(front_free, more, room, left, start, common, union):
@@ -440,35 +429,30 @@ def _degd_include(adj, d, free, chosen, v):
     return nfree, nchosen
 
 
-def _degd_closure(state):
-    """Nothing is undecided: the chosen set is the whole completion."""
-    return state[1]
-
-
 # ---------------------------------------------------------------------------
 # search driver, shared by both engines
 # ---------------------------------------------------------------------------
 
 
 def _engine(adj, d):
-    """(start, children, closure) for d, the one place that picks an engine.
+    """(start, expand) for d, the one place that picks an engine.
 
     ``start(free, chosen)`` builds the state with ``free`` undecided and
     ``chosen`` in, where every free vertex can join and, at d=1, every
     chosen vertex has a chosen neighbour; no other code builds a state
-    anew.  ``children(state, incumbent)`` returns [] when the node's bound
-    is at most ``incumbent``, None at the endgame, and the include-first
-    children otherwise; ``closure(state)`` gives the witness of the
-    endgame's exact optimum.
+    anew.  ``expand(state, incumbent, push)`` is the node function.  It
+    pushes nothing when the node's bound is at most ``incumbent``, and
+    returns the witness of the endgame's exact optimum when the endgame
+    applies.  Otherwise it passes the exclude child and then the include
+    child to ``push``, so on a stack the include child comes off first.
+    It returns None whenever it returns no witness.
     """
     if d == 1:
-        def start(free, chosen):
-            return free, 0, 0, free, _free_degree_layers(adj, free), chosen
-        return start, partial(_deg1_children, adj), partial(_deg1_closure, adj)
-    return (lambda free, chosen: (free, chosen)), partial(_degd_children, adj, d), _degd_closure
+        return _deg1_engine(adj)
+    return (lambda free, chosen: (free, chosen)), partial(_degd_expand, adj, d)
 
 
-def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline):
+def _run_search(expand, roots, witness, max_nodes, deadline):
     """Depth-first search from ``roots``, the first on top; (witness, nodes, completed).
 
     ``witness`` is the seed: its size primes pruning, and it comes back
@@ -483,24 +467,17 @@ def _run_search(children_of, closure_of, roots, witness, max_nodes, deadline):
     # check is due
     limit = min(_DEADLINE_INTERVAL - 1, max_nodes)
     stack = roots[::-1]
+    push, pop = stack.append, stack.pop
     while stack:
-        state = stack.pop()
         nodes += 1
         if nodes > limit:
             if nodes > max_nodes or time.monotonic() > deadline:
                 return witness, nodes, False
             limit = min(nodes + _DEADLINE_INTERVAL - 1, max_nodes)
-        kids = children_of(state, incumbent)
-        if kids is None:
-            wit = closure_of(state)
-            size = wit.bit_count()
-            if size > incumbent:
-                incumbent = size
-                witness = wit
-            continue
-        # children are include-first; the stack flips them, so push reversed
-        for ch in reversed(kids):
-            stack.append(ch)
+        wit = expand(pop(), incumbent, push)
+        if wit is not None and wit.bit_count() > incumbent:
+            incumbent = wit.bit_count()
+            witness = wit
     return witness, nodes, True
 
 
@@ -511,7 +488,7 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     is the answer unless the search builds a larger set.  Unset limits
     become math.inf, and the one search counts every node, so a node budget
     holds exactly.  ``roots`` None searches from the root ``start`` builds
-    with every vertex undecided; otherwise ``roots(start, children, seed
+    with every vertex undecided; otherwise ``roots(start, expand, seed
     size)`` gives the states to search from.  A seed that reaches
     ``stop_at`` is optimal by the bound: no engine is built, no search runs
     and ``roots`` is not called.  Otherwise the search runs to the end or
@@ -530,11 +507,9 @@ def _solve(g, d, budget, seed_witness, roots=None, stop_at=math.inf, bound_sourc
     witness, nodes, completed = seed_witness, 0, True
     seed_size = seed_witness.bit_count()
     if seed_size < stop_at:
-        start, children_of, closure_of = _engine(adj, d)
-        starts = ([start(g.full_mask, 0)] if roots is None
-                  else roots(start, children_of, seed_size))
-        witness, nodes, completed = _run_search(children_of, closure_of, starts, seed_witness,
-                                                max_nodes, deadline)
+        start, expand = _engine(adj, d)
+        starts = [start(g.full_mask, 0)] if roots is None else roots(start, expand, seed_size)
+        witness, nodes, completed = _run_search(expand, starts, seed_witness, max_nodes, deadline)
 
     best = witness.bit_count()
     optimal, source = completed, None
@@ -635,8 +610,7 @@ def _edge_type_layers(g: KneserGraph) -> list[list[int]]:
     return out
 
 
-def _edge_orbit_roots(g: KneserGraph, d: int, start, children_of,
-                      incumbent: int) -> list[tuple]:
+def _edge_orbit_roots(g: KneserGraph, d: int, start, expand, incumbent: int) -> list[tuple]:
     """solve_kneser's roots at d >= 1 (the module docstring says why).
 
     Each root is the engine's include child of the state left so far, and
@@ -653,17 +627,19 @@ def _edge_orbit_roots(g: KneserGraph, d: int, start, children_of,
     xs, ys = _edge_type_layers(g)
     low = (1 << k) - 1
     roots = []
-    # with no unsaturated vertex the d=1 engine's first child is an include
-    # too; the chosen set is the last entry of either engine's state
-    while kids := children_of(state, incumbent):
-        roots.append(kids[0])
-        v = (kids[0][-1] ^ state[-1]).bit_length() - 1
+    while True:
+        kids = []  # the exclude child, then the include child
+        if expand(state, incumbent, kids.append) is not None:
+            roots.append(state)  # the endgame
+        if not kids:
+            return roots
+        exclude, include = kids
+        roots.append(include)
+        # the chosen set is the last entry of either engine's state
+        v = (include[-1] ^ state[-1]).bit_length() - 1
         m = g.vertices[v].mask
         a, b = (m & low).bit_count(), (m >> k & low).bit_count()
-        state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + kids[-1][1:]
-    if kids is None:
-        roots.append(state)
-    return roots
+        state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + exclude[1:]
 
 
 def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:

@@ -50,3 +50,17 @@ def small_kneser_parameters(max_vertices: int):
             out.append((n, k))
             n += 1
     return out
+
+
+def expand_children(expand, state, incumbent):
+    """A node function's children in the old list shape: [] when the bound
+    prunes, None at the endgame, [include, exclude] otherwise.  The node
+    function pushes the exclude child first, so the list is its pushes
+    reversed."""
+    pushed = []
+    witness = expand(state, incumbent, pushed.append)
+    if witness is not None:
+        assert pushed == [], "an endgame pushed children"
+        return None
+    assert len(pushed) in (0, 2), pushed
+    return pushed[::-1]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from math import floor
 
 import pytest
@@ -34,8 +35,8 @@ from kneserdiss.bounds import (
     SRC_TRIPLES,
     BoundEntry,
 )
-from kneserdiss.solver import _degd_children
-from support import pascal_binom, small_kneser_parameters
+from kneserdiss.solver import _degd_expand
+from support import expand_children, pascal_binom, small_kneser_parameters
 
 
 def test_binom_against_pascal_oracle():
@@ -298,9 +299,9 @@ def _edge_local_from_graph(n, k):
         slack -= weight
         t += 1
     # the same t is where the solver's degree-counting bound prunes M's root
-    root = (m.full_mask, 0)
-    assert _degd_children(m.adj, 1, root, t - 1) != []
-    assert _degd_children(m.adj, 1, root, t) == []
+    root, expand = (m.full_mask, 0), partial(_degd_expand, m.adj, 1)
+    assert expand_children(expand, root, t - 1) != []
+    assert expand_children(expand, root, t) == []
     return max(alpha_kneser(n, k), 2 + t)
 
 

@@ -308,7 +308,8 @@ def test_arrangement_normalization():
     # a list order is held as a tuple, so the frozen object hashes
     listed = CyclicArrangement(order=[1, 2, 5, 3, 4])
     assert listed.order == c.order and hash(listed) == hash(c)
-    for order in ((2, 1, 3), (3, 4, 1, 2, 5), (1, 2, 2), (1, 2, 4)):
+    # an order that is not a sequence at all is a domain error too
+    for order in ((2, 1, 3), (3, 4, 1, 2, 5), (1, 2, 2), (1, 2, 4), 5, None, 1.5):
         with pytest.raises(DomainError):
             CyclicArrangement(order=order)
     assert len(list(all_arrangements(5))) == 24

@@ -15,6 +15,7 @@ import kneserdiss.kneser as kneser_module
 from kneserdiss import (
     CapacityError,
     DomainError,
+    GenericGraph,
     KSubset,
     build_kneser,
     check_max_degree,
@@ -651,3 +652,12 @@ def test_ksubset_caps_and_repr(call, expect):
     else:
         with pytest.raises(expect):
             call()
+
+
+def test_graph_repr_leaves_out_rows():
+    # rows once went into repr in decimal: 45.9 MB for K(17,6), and a
+    # ValueError past 4,300 digits
+    order = 20_000
+    wide = GenericGraph(order=order, adj=(1 << order - 1,) + (0,) * (order - 2) + (1,))
+    assert repr(wide) == "GenericGraph(order=20000)"
+    assert len(repr(build_kneser(13, 5))) < 100

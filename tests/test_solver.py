@@ -27,7 +27,7 @@ from kneserdiss import (
 )
 from kneserdiss.graphs import bits
 from kneserdiss.kneser import certificate_mask
-from support import pascal_binom, random_graph, small_kneser_parameters
+from support import expand_children, pascal_binom, random_graph, small_kneser_parameters
 
 
 def test_solve_petersen_dissociation():
@@ -140,6 +140,18 @@ def test_budget_exhaustion_returns_incumbent():
         res = solve_kneser(10, 4, 1, SearchBudget(max_nodes=max_nodes))
         assert not res.optimal and res.nodes_explored == max_nodes + 1
         assert res.witness == seed and res.best_size == seed.bit_count() == 84
+
+
+def test_budget_holds_exactly_on_the_general_d_engine():
+    # the general-d engine counts nodes through the same loop: a budget on
+    # either side of a deadline check stops plain solve (10,571 nodes to
+    # finish) and solve_kneser's orbit roots one node past it
+    g, h = build_kneser(9, 2), build_kneser(9, 3)
+    for max_nodes in (2047, 2048, 2049, 4096):
+        budget = SearchBudget(max_nodes=max_nodes)
+        for graph, res in ((g, solve(g, 3, budget)), (h, solve_kneser(9, 3, 3, budget))):
+            assert not res.optimal and res.nodes_explored == max_nodes + 1, max_nodes
+            assert check_max_degree(graph, res.witness, 3)
 
 
 def test_budget_rejects_limits_that_cannot_run():
@@ -364,6 +376,14 @@ def engine_view(state):
     return state if len(state) == 2 else state[:3] + state[-1:]
 
 
+def scripted_include(expand, state, v):
+    """The d=1 engine's include child of ``state`` on free vertex v, which
+    needs a free neighbour: counters with one layer, holding v alone, make
+    v the branch vertex.  Only the child's search slots are meaningful."""
+    scripted = state[:3] + (state[0], (1 << v,)) + state[5:]
+    return expand_children(expand, scripted, -1)[0]
+
+
 def test_edge_start_is_the_engine_path(monkeypatch):
     # at every d >= 1 the first root is the include child the engine takes
     # first from the edge start, where it gets by including x and then y;
@@ -371,7 +391,6 @@ def test_edge_start_is_the_engine_path(monkeypatch):
     # earlier roots' vertices are out of the free set
     recorded = {}
     real_solve = solver_module._solve
-    real_branch = solver_module._deg1_branch
 
     def recording(g, d, budget, seed_witness, roots=None, *rest):
         recorded[d] = roots
@@ -384,31 +403,25 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         g = build_kneser(n, k)
         y = g.vertex_index(range(k + 1, 2 * k + 1))
         edge = 1 | 1 << y
-        script = iter((0, y))
-
-        def scripted(adj, free, counted, layers):
-            # the counters catch up as usual; only the vertex is scripted
-            return next(script), real_branch(adj, free, counted, layers)[1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(solver_module, "_deg1_branch", scripted)
-            build, children_of, _ = solver_module._engine(g.adj, 1)
-            start = children_of(children_of(build(g.full_mask, 0), -1)[0], -1)[0]
+        build, expand = solver_module._engine(g.adj, 1)
+        path = scripted_include(expand, scripted_include(expand, build(g.full_mask, 0), 0), y)
         free = edge_nonneighbors(g, 0, y)
-        assert engine_view(start) == (free, 0, 0, edge), (n, k)
-        assert_counts_on(g.adj, free, start[3], start[4])
+        assert engine_view(path) == (free, 0, 0, edge), (n, k)
         types = edge_types(g)
         for d in (1, 2, 3):
             # the include rule leaves M at d=1 and V - {x, y} above
             include = partial(solver_module._degd_include, g.adj, d)
             left = include(*include(g.full_mask, 0, 0), y)
             assert left == (free if d == 1 else g.full_mask & ~edge, edge), (n, k, d)
-            if d >= 2:
-                start = left
+            build, expand = solver_module._engine(g.adj, d)
+            children = partial(expand_children, expand)
+            start = build(*left)
+            if d == 1:
+                assert_counts_on(g.adj, free, start[3], start[4])
+            else:
                 assert_free_vertices_can_join(g.adj, d, start)
-            build, children_of, _ = solver_module._engine(g.adj, d)
-            roots = recorded[d](build, children_of, -1)
-            assert engine_view(roots[0]) == engine_view(children_of(start, -1)[0]), (n, k, d)
+            roots = recorded[d](build, expand, -1)
+            assert engine_view(roots[0]) == engine_view(children(start, -1)[0]), (n, k, d)
             state, branched = start, set()
             for r in roots[:-1]:
                 if d == 1:
@@ -416,33 +429,32 @@ def test_edge_start_is_the_engine_path(monkeypatch):
                 else:
                     v = most_constrained_vertex(g.adj, *state)
                 assert r[-1] == edge | 1 << v, (n, k, d)
-                assert engine_view(r) == engine_view(children_of(state, -1)[0]), (n, k, d)
+                assert engine_view(r) == engine_view(children(state, -1)[0]), (n, k, d)
                 assert types[v] not in branched, (n, k, d)
                 branched.add(types[v])
                 out = sum(1 << u for u in bits(state[0]) if types[u] == types[v])
                 state = (state[0] & ~out,) + state[1:]
             # the last root is the state where the engine's endgame applies
             assert engine_view(roots[-1]) == engine_view(state), (n, k, d)
-            assert children_of(state, -1) is None, (n, k, d)
+            assert children(state, -1) is None, (n, k, d)
             for incumbent in range(g.order + 1):
-                pruned = recorded[d](build, children_of, incumbent)
+                pruned = recorded[d](build, expand, incumbent)
                 if d == 1:
                     # an incumbent cuts the list short, never reorders it
                     assert pruned == roots[:len(pruned)], (n, k, d, incumbent)
                 else:
                     # the incumbent also decides which vertices leave before
                     # the branch vertex is picked
-                    assert_roots_follow_engine(g.adj, children_of, start, types,
-                                               incumbent, pruned)
+                    assert_roots_follow_engine(children, start, types, incumbent, pruned)
 
 
-def assert_roots_follow_engine(adj, children_of, start, types, incumbent, roots):
+def assert_roots_follow_engine(children, start, types, incumbent, roots):
     # each root is the engine's first child, under the incumbent, of the
     # state left once the earlier roots' orbits are out; the list stops
     # where the engine prunes, or with the endgame state
     state, branched = start, set()
     for i, r in enumerate(roots):
-        kids = children_of(state, incumbent)
+        kids = children(state, incumbent)
         if kids is None:
             assert i == len(roots) - 1 and r == state, incumbent
             return
@@ -452,7 +464,7 @@ def assert_roots_follow_engine(adj, children_of, start, types, incumbent, roots)
         branched.add(types[v])
         out = sum(1 << u for u in bits(state[0]) if types[u] == types[v])
         state = (state[0] & ~out,) + state[1:]
-    assert children_of(state, incumbent) == [], incumbent
+    assert children(state, incumbent) == [], incumbent
 
 
 def full_scan_branch_vertex(adj, free):
@@ -486,26 +498,52 @@ def clique(order):
     return graph_from_edges(order, list(combinations(range(order), 2)))
 
 
+def check_each_expand(monkeypatch, check):
+    """Make every engine the solver builds call check(adj, state, incumbent,
+    children) on each node it expands, with the node's children in the
+    list shape of ``expand_children``."""
+    real_engine = solver_module._engine
+
+    def engine(adj, d):
+        start, expand = real_engine(adj, d)
+
+        def checked(state, incumbent, push):
+            check(adj, state, incumbent, expand_children(expand, state, incumbent))
+            return expand(state, incumbent, push)
+
+        return start, checked
+
+    monkeypatch.setattr(solver_module, "_engine", engine)
+
+
 def test_free_degree_counters_are_exact(monkeypatch):
     # at every node the d=1 engine expands, the counters it is handed count
-    # each free vertex's degree into the counted set, after catching up they
-    # are the popcounts on free, and the branch vertex is the full scan's
-    real = solver_module._deg1_branch
+    # each free vertex's degree into the counted set; past the bound both
+    # children get them caught up, as the popcounts on the node's free set,
+    # and the branch vertex, the one the include child adds, is the full
+    # scan's; at the endgame no free vertex has a free neighbour
     calls = []
 
-    def checked(adj, free, counted, layers):
+    def check(adj, state, incumbent, kids):
+        free, _, _, counted, layers, chosen = state
+        cap = max(a.bit_count() for a in adj).bit_length()
         assert free & ~counted == 0
-        assert len(layers) <= max(a.bit_count() for a in adj).bit_length()
+        assert len(layers) <= cap
         assert_counts_on(adj, free, counted, layers)
-        v, out = real(adj, free, counted, layers)
-        assert_counts_on(adj, free, free, out)
+        if kids == []:
+            return  # pruned before the catch-up
         expect, degree = full_scan_branch_vertex(adj, free)
-        assert v == (expect if degree > 0 else -1)
+        if kids is None:
+            assert degree <= 0
+        else:
+            assert degree > 0 and kids[0][5] ^ chosen == 1 << expect
+            for child in kids:
+                assert child[3] == free and len(child[4]) <= cap
+                assert_counts_on(adj, free, free, child[4])
         gone = (counted & ~free).bit_count()
         calls.append("most left" if gone > free.bit_count() else "some left" if gone else "none")
-        return v, out
 
-    monkeypatch.setattr(solver_module, "_deg1_branch", checked)
+    check_each_expand(monkeypatch, check)
     # the star's root needs 9 layers for the centre's 300 leaves; the
     # cliques' maximum degrees are 2^L - 1 and 2^L, and at 2^L the first
     # catch-up borrows through every layer; the edgeless graph and a single
@@ -515,11 +553,10 @@ def test_free_degree_counters_are_exact(monkeypatch):
              graph_from_edges(5, []), graph_from_edges(1, [])]
     for g in small:
         # every node, none pruned
-        start, children_of, _ = solver_module._engine(g.adj, 1)
+        start, expand = solver_module._engine(g.adj, 1)
         stack = [start(g.full_mask, 0)]
         while stack:
-            kids = children_of(stack.pop(), -1)
-            stack.extend(kids or ())
+            expand(stack.pop(), -1, stack.append)
     ways = set(calls)
     rng = random.Random(23)
     graphs = [build_kneser(7, 3)] + [
@@ -562,21 +599,21 @@ def test_edge_start_counts_free_degrees_once_on_m(monkeypatch):
 
 def test_orbit_roots_subtract_each_orbit_once(monkeypatch):
     # while the orbit roots are built, the vertices whose rows the counters
-    # subtract (counted & ~free) are new at every call: no orbit twice
-    real = solver_module._deg1_branch
+    # subtract (counted & ~free) at each node past the bound are new: no
+    # orbit twice
     gone = []
 
-    def branch(adj, free, counted, layers):
-        gone.append(counted & ~free)
-        return real(adj, free, counted, layers)
+    def check(adj, state, incumbent, kids):
+        if kids != []:
+            gone.append(state[3] & ~state[0])
 
-    monkeypatch.setattr(solver_module, "_deg1_branch", branch)
+    check_each_expand(monkeypatch, check)
     for n, k in ((8, 3), (9, 3), (10, 4), (12, 5)):
         g = build_kneser(n, k)
-        start, children_of, _ = solver_module._engine(g.adj, 1)
+        start, expand = solver_module._engine(g.adj, 1)
         for incumbent in (-1, 10, 20):
             gone.clear()
-            roots = solver_module._edge_orbit_roots(g, 1, start, children_of, incumbent)
+            roots = solver_module._edge_orbit_roots(g, 1, start, expand, incumbent)
             assert len(gone) >= min(len(roots), 3), (n, k, incumbent)
             seen = 0
             for out in gone:
@@ -588,10 +625,9 @@ def test_d1_states_keep_one_unsaturated_chosen_neighbour(monkeypatch):
     # every free vertex of every d=1 state has at most one chosen
     # neighbour, that neighbour is unsaturated, and seen & free is exactly
     # the free vertices with one
-    real = solver_module._deg1_children
     states = [0]
 
-    def checked(adj, state, incumbent):
+    def check(adj, state, incumbent, kids):
         free, unsat, seen, _, _, chosen = state
         touched = 0
         for u in bits(free):
@@ -601,9 +637,8 @@ def test_d1_states_keep_one_unsaturated_chosen_neighbour(monkeypatch):
                 touched |= 1 << u
         assert seen & free == touched
         states[0] += 1
-        return real(adj, state, incumbent)
 
-    monkeypatch.setattr(solver_module, "_deg1_children", checked)
+    check_each_expand(monkeypatch, check)
     rng = random.Random(5)
     for i in range(8):
         g = random_graph(rng.randint(10, 24), (0.15, 0.3)[i % 2], rng)
@@ -793,7 +828,9 @@ def test_general_d_free_vertices_can_always_join():
             for state, kids in unpruned_states(adj, d):
                 assert_free_vertices_can_join(adj, d, state)
                 if kids is None:
-                    assert check_max_degree(g, solver_module._degd_closure(state), d)
+                    # the endgame's witness is the chosen set, a whole completion
+                    witness = solver_module._degd_expand(adj, d, state, -1, [].append)
+                    assert witness == state[1] and check_max_degree(g, witness, d)
 
 
 # plain solve at d = 2, 3, one worker: (size, nodes, witness), recorded
@@ -852,6 +889,12 @@ def old_bound(adj, d, state):
     return chosen.bit_count() + t
 
 
+def degd_children(adj, d, state, incumbent):
+    """The general-d engine's children of a state, in the list shape of
+    ``expand_children``."""
+    return expand_children(partial(solver_module._degd_expand, adj, d), state, incumbent)
+
+
 def unpruned_states(adj, d):
     """Every state of the general-d engine's search that prunes nothing,
     with its children (None at the endgame).  It runs the general-d engine
@@ -859,7 +902,7 @@ def unpruned_states(adj, d):
     stack = [((1 << len(adj)) - 1, 0)]
     while stack:
         state = stack.pop()
-        kids = solver_module._degd_children(adj, d, state, -1)
+        kids = degd_children(adj, d, state, -1)
         yield state, kids
         stack.extend(kids or ())
 
@@ -877,7 +920,7 @@ def test_general_d_bound_is_sound_and_branches_most_constrained():
             for state, kids in unpruned_states(adj, d):
                 best = largest_completion(adj, d, state)
                 assert best >= state[1].bit_count(), (g.order, d)
-                assert solver_module._degd_children(adj, d, state, best - 1) != [], (g.order, d)
+                assert degd_children(adj, d, state, best - 1) != [], (g.order, d)
                 if kids is not None:
                     v = most_constrained_vertex(adj, *state)
                     assert kids[0][1] == state[1] | 1 << v, (g.order, d)
@@ -897,8 +940,8 @@ def test_general_d_bound_is_never_weaker():
         for d in (0, 1, 2, 3):
             for state, _ in unpruned_states(adj, d):
                 bound = old_bound(adj, d, state)
-                assert solver_module._degd_children(adj, d, state, bound) == [], (g.order, d)
-                tighter += solver_module._degd_children(adj, d, state, bound - 1) == []
+                assert degd_children(adj, d, state, bound) == [], (g.order, d)
+                tighter += degd_children(adj, d, state, bound - 1) == []
     assert tighter > 0
 
 
@@ -927,7 +970,7 @@ def test_general_d_drops_only_vertices_that_cannot_beat_the_incumbent():
                 free, chosen = state
                 best = largest_completion(adj, d, state)
                 for incumbent in range(chosen.bit_count(), best + 2):
-                    kids = solver_module._degd_children(adj, d, state, incumbent)
+                    kids = degd_children(adj, d, state, incumbent)
                     if kids is None:
                         continue
                     if kids == []:
@@ -980,7 +1023,7 @@ def test_general_d_drops_exactly_the_per_vertex_rule():
                 free, chosen = state
                 fronts = [s for s in bits(chosen) if (adj[s] & chosen).bit_count() == d - 1]
                 for incumbent in range(chosen.bit_count(), chosen.bit_count() + free.bit_count() + 1):
-                    kids = solver_module._degd_children(adj, d, state, incumbent)
+                    kids = degd_children(adj, d, state, incumbent)
                     room = free.bit_count() - (incumbent - chosen.bit_count())
                     if any((adj[s] & free).bit_count() > room for s in fronts):
                         assert kids == [], (g.order, d, incumbent)
