@@ -73,7 +73,7 @@ class GenericGraph:
     """Arbitrary simple graph; adjacency is symmetric and irreflexive."""
 
     order: int
-    # rows are left out of repr: a large graph's run to megabytes of digits
+    # left out of repr: a large graph's rows run to megabytes of digits
     adj: tuple[int, ...] = field(repr=False)
     # every vertex as a bitset, set once by __post_init__
     full_mask: int = field(init=False, repr=False, compare=False)
