@@ -2,7 +2,8 @@
 
 Covers the degree-bound check behind every solver witness, its dual
 (3-path vertex covers), Hall matchings with explicit violators, the
-neighborhood expansion property of odd graphs, and exhaustive counting of
+neighborhood expansion property of odd graphs (every set L at once, by one
+Hall matching on copies), and exhaustive counting of
 k-sets appearing as cyclic substrings of arrangements of [n].
 """
 
@@ -12,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
-from math import comb, factorial
+from math import factorial
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, require_int
@@ -20,7 +21,6 @@ from .graphs import GenericGraph, bits, mask_of, vertex_mask
 from .kneser import KneserGraph, KSubset
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
-ODD_CENTER_CAP = 24  # odd_expansion_violator checks all 2^c - 1 sets L
 
 
 def check_max_degree(g: GenericGraph, s, d: int) -> bool:
@@ -159,39 +159,29 @@ def odd_expansion_check(g: KneserGraph, subset) -> bool:
     return g.k * nbhd.bit_count() >= (g.k + 1) * lmask.bit_count()
 
 
-def _subset_unions(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Union and size of every subset of ``rows``; subset s is index s."""
-    unions, sizes = [0], [0]
-    for row in rows:
-        unions += [u | row for u in unions]
-        sizes += [z + 1 for z in sizes]
-    return unions, sizes
-
-
 def odd_expansion_violator(g: KneserGraph) -> frozenset | None:
     """A nonempty L in the center of 2k+1 with k*|N(L) n D| < (k+1)*|L|, or None.
 
-    Every L of the odd graph g = K(2k+1, k) is checked exactly, as
-    odd_expansion_check does one at a time: the c center rows below are
-    split in two halves whose subset unions are tabled once, so a set L
-    costs one OR of two table entries (memory O(2^ceil(c/2))).
-    c = C(2k, k-1) is capped first, at ODD_CENTER_CAP.
+    Every L of the odd graph g = K(2k+1, k) is checked at once by Hall's
+    theorem on copies: each center vertex becomes k+1 X-copies and each
+    vertex of D becomes k Y-copies, joined where their originals are.  The
+    copies of L see exactly k*|N(L) n D| Y-copies, so the X-copies are
+    saturated iff no L fails.  Copies of one vertex share their neighbours,
+    so the originals of a Hall violator are an L that fails.  The one size
+    limit is find_x_matching's X_SIDE_CAP on the (k+1)*C(2k, k-1) X-copies:
+    k <= 6, and K(13,6) takes seconds.
     """
     k = _odd_graph(g)
-    if comb(2 * k, k - 1) > ODD_CENTER_CAP:
-        raise CapacityError(f"center of K({2 * k + 1},{k}) exceeds {ODD_CENTER_CAP} vertices")
     center = g.center_mask(2 * k + 1)
     below = g.full_mask & ~center
-    cv = list(bits(center))
-    half = len(cv) // 2
-    lo, hi = cv[:half], cv[half:]
-    lo_unions, lo_sizes = _subset_unions([g.adj[v] & below for v in lo])
-    hi_unions, hi_sizes = _subset_unions([g.adj[v] & below for v in hi])
-    for b, (hu, hs) in enumerate(zip(hi_unions, hi_sizes)):
-        for a, (lu, ls) in enumerate(zip(lo_unions, lo_sizes)):
-            if k * (lu | hu).bit_count() < (k + 1) * (ls + hs):
-                return frozenset([lo[i] for i in bits(a)] + [hi[i] for i in bits(b)])
-    return None
+    # copy i of vertex v is v*(k+1) + i on the X side and v*k + i on the Y side
+    xs = [v * (k + 1) + i for v in bits(center) for i in range(k + 1)]
+    ys = [u * k + j for u in bits(below) for j in range(k)]
+    # a generator: the cap refuses a large center before any row is read
+    edges = ((x, u * k + j)
+             for x in xs for u in bits(g.adj[x // (k + 1)] & below) for j in range(k))
+    result = find_x_matching(xs, ys, edges)
+    return None if result.saturated else frozenset(x // (k + 1) for x in result.violator)
 
 
 def odd_hall_matching(g: KneserGraph, subset) -> MatchingResult:

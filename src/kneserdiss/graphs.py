@@ -99,6 +99,23 @@ class GenericGraph:
                 yield u, u + 1 + v
 
 
+def require_simple(g: GenericGraph) -> None:
+    """Raise DomainError unless g's rows are symmetric, irreflexive and hold
+    no bit at or above ``order``: the graph the class docstring promises.
+
+    One O(V + E) walk; ``__post_init__`` leaves it out, so a graph built
+    row by row, as the readers and build_kneser do, pays nothing for it.
+    """
+    adj = g.adj
+    for u, row in enumerate(adj):
+        # a negative row shifts to -1, so it fails here too
+        if type(row) is not int or row >> g.order or row >> u & 1:
+            raise DomainError(f"row {u} is not a set of other vertices of the graph")
+        for v in bits(row):
+            if not adj[v] >> u & 1:
+                raise DomainError(f"edge ({u},{v}) is missing from row {v}")
+
+
 def vertex_mask(g: GenericGraph, s) -> int:
     """Bitset of the vertex set s of g, given as a bitset or as indices."""
     mask = mask_of(s) if hasattr(s, "__iter__") else s

@@ -111,7 +111,7 @@ from functools import partial
 from . import bounds
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError, require_int
-from .graphs import GenericGraph, bits
+from .graphs import GenericGraph, bits, require_simple
 from .kneser import KneserGraph, build_kneser
 
 BRUTE_FORCE_CAP = 26
@@ -535,8 +535,18 @@ def _greedy_seed(adj, d):
     return chosen
 
 
+def _require_simple(g: GenericGraph) -> None:
+    # build_kneser makes a KneserGraph's rows from its centers: no walk
+    if not isinstance(g, KneserGraph):
+        require_simple(g)
+
+
 def solve(g: GenericGraph, d: int, budget: SearchBudget | None = None) -> SolveResult:
-    """Largest vertex set of g inducing maximum degree <= d, exactly."""
+    """Largest vertex set of g inducing maximum degree <= d, exactly.
+
+    Rows that are not a simple graph's raise DomainError first.
+    """
+    _require_simple(g)
     return _solve(g, d, budget, None)
 
 
@@ -647,7 +657,9 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
 
     A branch is cut only when taking every undecided vertex could not beat
     the best set found, so the oracle shares no bound with the engines.
+    Rows that are not a simple graph's raise DomainError first.
     """
+    _require_simple(g)
     require_int("cap", cap, 0)
     if g.order > cap:
         raise CapacityError(f"brute force capped at {cap} vertices")

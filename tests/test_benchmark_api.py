@@ -79,6 +79,8 @@ def test_d1_seed_goes_through_the_traced_name(monkeypatch):
 @pytest.mark.parametrize("group,name,calls", [
     ("doublecount", "double_count_identity", 50),
     ("katona", "max_substrings", 3),
+    # two expansion checks, each one matching, and 2 x 200 sampled matchings
+    ("hall", "find_x_matching", 402),
 ])
 def test_reproduce_oracles_go_through_traced_names(monkeypatch, capsys, group, name, calls):
     # perfbench/tracing.py wraps these as certify.oracle spans, so the

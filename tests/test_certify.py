@@ -199,8 +199,8 @@ def test_odd_expansion_violator_agrees_with_every_l():
     assert all(odd_expansion_violator(h) is None for h in one_edge)
     assert all(odd_expansion_violator(h) is not None for h in one_vertex)
     assert odd_expansion_violator(g) is None
-    # O_3 holds; test_criterion_10_odd_graph_expansion checks its 2^15 - 1
-    # sets L one at a time
+    # O_3 holds by one matching; test_criterion_10_odd_graph_expansion
+    # checks its 2^15 - 1 sets L one at a time
     assert odd_expansion_violator(build_kneser(7, 3)) is None
 
 
@@ -218,14 +218,77 @@ def test_odd_expansion_violator_on_a_corrupted_o3():
     assert odd_expansion_violator(without_edges(g, [(v, next(bits(g.adj[v] & below)))])) is None
 
 
-def test_odd_expansion_violator_contract(monkeypatch):
-    def no_table(*args):
-        raise AssertionError("a table was built")
+def test_odd_expansion_violator_holds_up_to_k5(monkeypatch):
+    # the paper's expansion at k = 4 and 5, each from one Hall matching on
+    # copies: 5 X-copies of each of C(8,3) = 56 and 6 of each of C(10,4) = 210
+    calls = []
+    real = certify_module.find_x_matching
 
-    monkeypatch.setattr(certify_module, "_subset_unions", no_table)
-    # the center of K(9,4) has C(8,3) = 56 vertices
-    with pytest.raises(CapacityError, match="exceeds 24 vertices"):
-        odd_expansion_violator(build_kneser(9, 4))
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(certify_module, "find_x_matching", counted)
+    for k in (4, 5):
+        assert odd_expansion_violator(build_kneser(2 * k + 1, k)) is None
+    assert len(calls) == 2
+
+
+class NoRows:
+    """Adjacency rows of the given length that must never be read."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def __len__(self):
+        return self.order
+
+    def __getitem__(self, v):
+        raise AssertionError("a row was read")
+
+    def __iter__(self):
+        raise AssertionError("the rows were walked")
+
+
+def test_odd_expansion_violator_refuses_k7_before_reading_rows():
+    # K(15,7) has 8 * C(14,6) = 24,024 X-copies, past X_SIDE_CAP
+    g = build_kneser(15, 7)
+    h = dataclasses.replace(g, adj=NoRows(g.order))
+    with pytest.raises(CapacityError, match="10000"):
+        odd_expansion_violator(h)
+
+
+def failing_l_exists(h):
+    """Reference: does any of the 2^c - 1 nonempty L in the center fail?"""
+    k = h.k
+    center = h.center_mask(2 * k + 1)
+    below = h.full_mask & ~center
+    unions, sizes = [0], [0]  # N(L) n D and |L| of every subset L
+    for v in bits(center):
+        unions += [u | h.adj[v] & below for u in unions]
+        sizes += [z + 1 for z in sizes]
+    return any(k * u.bit_count() < (k + 1) * z for u, z in zip(unions[1:], sizes[1:]))
+
+
+def test_odd_expansion_violator_matches_every_l_on_random_deletions():
+    rng = random.Random(28)
+    verdicts = []
+    for k, graphs in ((2, 240), (3, 120)):
+        g = build_kneser(2 * k + 1, k)
+        center = g.center_mask(2 * k + 1)
+        below = g.full_mask & ~center
+        cross = [(v, u) for v in bits(center) for u in bits(g.adj[v] & below)]
+        for _ in range(graphs):
+            p = rng.uniform(0.0, 0.4)
+            h = without_edges(g, [e for e in cross if rng.random() < p])
+            violator = odd_expansion_violator(h)
+            assert (violator is not None) == failing_l_exists(h)
+            if violator is not None:
+                assert violator and violator <= set(bits(center))
+                assert expansion_fails(h, violator)
+            verdicts.append(violator is None)
+    # both verdicts are drawn often
+    assert len(verdicts) == 360 and 100 <= verdicts.count(False) <= 260
 
 
 ODD_GRAPH_CALLS = {

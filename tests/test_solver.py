@@ -13,6 +13,7 @@ from kneserdiss import (
     CapacityError,
     Certificate,
     DomainError,
+    GenericGraph,
     SearchBudget,
     brute_force,
     build_kneser,
@@ -320,10 +321,37 @@ def test_psi3_duality():
 
 
 def test_solve_empty_and_singleton():
-    from kneserdiss.graphs import GenericGraph
-
     assert solve(GenericGraph(order=0, adj=()), 1).best_size == 0
     assert solve(GenericGraph(order=1, adj=(0,)), 0).best_size == 1
+
+
+MALFORMED_ROWS = {
+    "asymmetric": (3, (0b110, 0, 0)),
+    "reflexive": (2, (0b01, 0)),
+    "bit past order": (2, (0b110, 0b001)),
+}
+
+
+@pytest.mark.parametrize("shape", MALFORMED_ROWS)
+def test_malformed_rows_raise_domain_error(shape):
+    order, adj = MALFORMED_ROWS[shape]
+    g = GenericGraph(order=order, adj=adj)
+    calls = [partial(solve, g, 0), partial(solve, g, 1), partial(psi3, g),
+             partial(brute_force, g, 0), partial(brute_force, g, 1)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_only_plain_graphs_walk_their_rows(monkeypatch):
+    walked = []
+    monkeypatch.setattr(solver_module, "require_simple", walked.append)
+    k52 = build_kneser(5, 2)
+    plain = GenericGraph(order=k52.order, adj=k52.adj)
+    assert solve(k52, 1).best_size == brute_force(k52, 1) == 6
+    assert walked == []
+    assert solve(plain, 1).best_size == brute_force(plain, 1) == 6
+    assert walked == [plain, plain]
 
 
 def test_kneser_wrapper_other_degrees():
