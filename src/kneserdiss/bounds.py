@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, floor
 
-from .errors import CapacityError, DomainError, SearchFailure, _decimal, require_int
+from .errors import MAX_VALUE_BITS, CapacityError, SearchFailure, _require_kneser, require_int
 
-# str() of an int stops at 4,300 digits by default; 2**14_000 has 4,215, so
-# every reported value, at most a small multiple of C(n, k), still prints
-MAX_VALUE_BITS = 14_000
 # edge_local_upper takes O(k^2) binomials; at k = 30 and the largest n
 # MAX_VALUE_BITS admits it takes about 0.1 s, so report skips it past this k
 EDGE_LOCAL_MAX_K = 30
@@ -34,19 +31,6 @@ def binom(n: int, k: int) -> int:
     require_int("n", n, 0)
     require_int("k", k, 0)
     return comb(n, k)
-
-
-def _require_kneser(n: int, k: int, min_k: int = 1) -> None:
-    require_int("n", n, 0)
-    require_int("k", k, min_k)
-    if n < 2 * k:
-        raise DomainError(f"need n >= 2k >= {2 * min_k}, got n={_decimal(n)} k={_decimal(k)}")
-    # C(n, k) < 2**n and C(n, k) <= n**k; checked before any binomial
-    if min(n, k * n.bit_length()) > MAX_VALUE_BITS:
-        raise CapacityError(
-            f"C(n,k) may pass 2**{MAX_VALUE_BITS}, past the digits an integer prints "
-            f"with (n has {n.bit_length()} bits, k has {k.bit_length()})"
-        )
 
 
 def alpha_kneser(n: int, k: int) -> int:

@@ -2,19 +2,21 @@
 
 Exit codes: 0 success, 1 mismatch or invalid certificate, 2 input or
 domain error, 3 budget-limited.
+
+Each command imports the heavy modules it uses (``solver``, ``bounds``,
+``certify``) when it runs, so ``gen`` and ``verify`` never compile the
+search or the bound arithmetic.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from . import bounds, certify, solver
 from .certificates import certificate_from_json
 from .errors import CapacityError, DomainError, SearchFailure
 from .graphs import bits, read_dimacs, write_dimacs
@@ -36,9 +38,11 @@ def _parse_duration(text: str) -> float:
         raise DomainError(f"bad duration {text!r}") from None
 
 
-def _budget_from_args(args) -> solver.SearchBudget:
+def _budget_from_args(args):
+    from .solver import SearchBudget
+
     max_time = _parse_duration(args.max_time) if args.max_time else None
-    return solver.SearchBudget(max_nodes=args.max_nodes, max_time=max_time)
+    return SearchBudget(max_nodes=args.max_nodes, max_time=max_time)
 
 
 def _add_budget_flags(p):
@@ -56,6 +60,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import solver
+
     budget = _budget_from_args(args)
     result = solver.solve_kneser(args.n, args.k, args.max_degree, budget)
     doc = result.to_json_dict()
@@ -83,6 +89,8 @@ def _lex_subsets(n: int, k: int, ranks: int) -> list[list[int]]:
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     rep = bounds.report(args.n, args.k)
     print(json.dumps(rep.as_dict()))
     return 0
@@ -104,6 +112,8 @@ def _load_graph(path: str):
 
 
 def cmd_verify(args) -> int:
+    from . import certify
+
     g = _load_graph(args.graph)
     cert = certificate_from_json(_read_text(args.certificate))
     d = args.max_degree if args.max_degree is not None else cert.d
@@ -138,6 +148,8 @@ def _solved_method(res):
 
 
 def _reproduce_rows(groups, budget, rng):
+    from . import bounds, certify, solver
+
     rows = []
 
     if "k2" in groups:
@@ -221,6 +233,8 @@ ALL_GROUPS = ("k2", "k3", "odd", "threshold", "katona", "hall", "doublecount")
 
 
 def cmd_reproduce(args) -> int:
+    from random import Random
+
     budget = _budget_from_args(args)
     if args.rows is not None:
         groups = [g.strip() for g in args.rows.split(",")]
@@ -229,7 +243,7 @@ def cmd_reproduce(args) -> int:
             raise DomainError(f"unknown row groups: {', '.join(map(repr, unknown))}")
     else:
         groups = list(ALL_GROUPS)
-    rng = random.Random(args.seed)
+    rng = Random(args.seed)
     rows = _reproduce_rows(groups, budget, rng)
 
     if args.output == "json":

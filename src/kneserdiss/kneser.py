@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .bounds import _require_kneser
 from .certificates import Certificate, _load_json
-from .errors import CapacityError, DomainError, require_int
+from .errors import CapacityError, DomainError, _require_kneser, require_int
 from .graphs import GenericGraph, bits, require_adjacency_fits
 
 MAX_GROUND_SET = 64

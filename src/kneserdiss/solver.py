@@ -108,11 +108,11 @@ import time
 from dataclasses import dataclass
 from functools import partial
 
-from . import bounds
+from . import bounds, kneser
 from .certify import check_max_degree
 from .errors import CapacityError, DomainError, require_int
 from .graphs import GenericGraph, bits, require_simple
-from .kneser import KneserGraph, build_kneser
+from .kneser import KneserGraph
 
 BRUTE_FORCE_CAP = 26
 MAX_THREADS = 64  # the largest thread_count a budget accepts
@@ -581,7 +581,9 @@ def solve_kneser(
     Erdos-Ko-Rado bound, so no search runs.
     """
     require_int("d", d, 0)  # before the build, which may be large
-    g = build_kneser(n, k)
+    # read from kneser at each call, so a later patch of kneser.build_kneser
+    # (a tracer's wrapper, say) applies here, and so does its undo
+    g = kneser.build_kneser(n, k)
     if d == 0:
         # Erdos-Ko-Rado: a center is a maximum independent set
         return _solve(g, d, budget, g.center_mask(1), None,

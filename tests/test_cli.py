@@ -50,7 +50,7 @@ def test_solve_petersen(capsys, monkeypatch):
         builds.append((n, k))
         return build_kneser(n, k)
 
-    monkeypatch.setattr(solver_module, "build_kneser", counting)
+    monkeypatch.setattr(kneser_module, "build_kneser", counting)
     monkeypatch.setattr(cli_module, "build_kneser", counting)
     code, out, _ = run(capsys, "solve", "5", "2")
     assert builds == [(5, 2)]

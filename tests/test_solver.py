@@ -8,6 +8,7 @@ from itertools import combinations, islice
 
 import pytest
 
+import kneserdiss.kneser as kneser_module
 import kneserdiss.solver as solver_module
 from kneserdiss import (
     CapacityError,
@@ -192,7 +193,7 @@ def test_non_integer_counts_rejected_before_any_build(monkeypatch, call):
     def no_build(n, k):
         raise AssertionError("built a graph for a bad d")
 
-    monkeypatch.setattr(solver_module, "build_kneser", no_build)
+    monkeypatch.setattr(kneser_module, "build_kneser", no_build)
     with pytest.raises(DomainError):
         call(g)
 
@@ -375,7 +376,7 @@ def test_negative_d_rejected_before_any_build(monkeypatch):
     def no_build(n, k):
         raise AssertionError("built a graph for a negative d")
 
-    monkeypatch.setattr(solver_module, "build_kneser", no_build)
+    monkeypatch.setattr(kneser_module, "build_kneser", no_build)
     with pytest.raises(DomainError):
         solve_kneser(5, 2, -1)
     with pytest.raises(DomainError):
