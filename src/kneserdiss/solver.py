@@ -5,17 +5,24 @@ maximum degree at most d (d=0: independent set, d=1: dissociation set).
 A search state is a tuple of vertex bitsets; every size and degree is a
 popcount.  Both engines keep every undecided (free) vertex able to join:
 it has at most d chosen neighbours and none of them already has d.  The
-d=1 engine's state is (free, unsat, seen, counted, layers, chosen), where
-``unsat`` holds the chosen vertices without a chosen neighbour and
-``seen`` covers the free vertices next to one, so each free vertex has at
-most one chosen neighbour.  Its counting bound and exact endgame closure
-both fall out of that.  ``layers`` are bit-sliced counters: bit i of a
-vertex's degree into ``counted``, a superset of free, is that vertex's bit
-in layer i.  A node the bound does not prune brings them up to date with
-its free set, subtracting the rows of the vertices that left, and then
-narrows free from the top layer down to the vertices of maximum
-free-degree; the branch vertex is the lowest of them.  The general-d
-engine's state is (free, chosen).
+d=1 engine's state is (free, unsat, seen, counted, edges, layers,
+chosen), where ``unsat`` holds the chosen vertices without a chosen
+neighbour and ``seen`` covers the free vertices next to one, so each free
+vertex has at most one chosen neighbour.  Its counting bound and exact
+endgame closure both fall out of that.  ``edges`` is the number of edges
+inside ``counted``, a superset of free, and ``layers`` are bit-sliced
+counters: bit i of a vertex's degree into ``counted`` is that vertex's bit
+in layer i.  A node the counting bound does not prune brings both up to
+date with its free set, subtracting the rows of the vertices that left,
+and then narrows free from the top layer down to the vertices of maximum
+free-degree D; the branch vertex is the lowest of them.  With f = |free|
+and E = 2 * edges, a second bound, by edge cover, holds when D >= 2: a
+completion takes s free vertices, which induce at most s/2 edges; every
+other free-free edge has an end among the f - s free vertices left out,
+and each of them ends at most D edges, so E/2 <= s/2 + D(f - s), that is
+s <= f + floor((f - E) / (2D - 1)).  The node is pruned when |chosen|
+plus that is at most the incumbent.  The general-d engine's state is
+(free, chosen).
 
 An engine is a state builder and one node function,
 ``expand(state, incumbent, push)``.  The search is one depth-first loop
@@ -166,13 +173,14 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# d = 1 engine (free, unsat, seen, counted, layers, chosen)
+# d = 1 engine (free, unsat, seen, counted, edges, layers, chosen)
 # ---------------------------------------------------------------------------
 
 
 def _free_degree_layers(adj, free):
-    """Bit-sliced free-degrees: bit i of free vertex v's free-degree is bit v
-    of layer i, with as many layers as the largest free-degree needs."""
+    """(edges, layers): the number of edges inside free, and the bit-sliced
+    free-degrees: bit i of free vertex v's free-degree is bit v of layer i,
+    with as many layers as the largest free-degree needs."""
     by_degree = {}
     m = free
     while m:
@@ -185,36 +193,41 @@ def _free_degree_layers(adj, free):
         for i in range(d.bit_length()):
             if d >> i & 1:
                 layers[i] |= vs
-    return tuple(layers)
+    return sum(d * vs.bit_count() for d, vs in by_degree.items()) >> 1, tuple(layers)
 
 
 def _deg1_engine(adj):
     """(start, expand) of the d=1 engine; ``_engine`` says what they do."""
 
     def start(free, chosen):
-        return free, 0, 0, free, _free_degree_layers(adj, free), chosen
+        return (free, 0, 0, free) + _free_degree_layers(adj, free) + (chosen,)
 
     def expand(state, incumbent, push):
-        free, unsat, seen, counted, layers, chosen = state
+        free, unsat, seen, counted, edges, layers, chosen = state
         # undecided vertices off ``seen`` may all join; those on it, at most
         # one per unsaturated vertex
+        f = free.bit_count()
+        c = chosen.bit_count()
         sc = (seen & free).bit_count()
         u = unsat.bit_count()
-        if chosen.bit_count() + free.bit_count() - sc + (u if u < sc else sc) <= incumbent:
+        if c + f - sc + (u if u < sc else sc) <= incumbent:
             return None
         # past the bound the counters catch up on free, subtracting the row
-        # of every vertex that left; the children inherit them, counted on
-        # this node's free set.  A catch-up copies the layers, so children
-        # may share them
+        # of every vertex that left and its edges to the counted vertices
+        # still there; the children inherit them, counted on this node's
+        # free set.  A catch-up copies the layers, so children may share them
         gone = counted & ~free
         if gone:
             layers = list(layers)
             while gone:
                 lsb = gone & -gone
                 gone ^= lsb
+                counted ^= lsb
+                row = adj[lsb.bit_length() - 1]
+                edges -= (row & counted).bit_count()
                 # one borrow chain takes 1 off each free neighbour; rows
                 # ANDed with free never borrow at a vertex outside it
-                b = adj[lsb.bit_length() - 1] & free
+                b = row & free
                 i = 0
                 while b:
                     layers[i] ^= b
@@ -223,8 +236,8 @@ def _deg1_engine(adj):
         # narrowing free from the top layer down leaves the vertices of
         # maximum free-degree; the branch vertex is the lowest of them
         top = free
-        for c in reversed(layers):
-            t = top & c
+        for t in reversed(layers):
+            t &= top
             if t:
                 top = t
         v = (top & -top).bit_length() - 1
@@ -239,19 +252,24 @@ def _deg1_engine(adj):
                 su = adj[lsb.bit_length() - 1] & seen & free
                 wit |= su & -su
             return wit
+        # the edge-cover bound (module docstring); v's free-degree is the
+        # maximum, and below 2 the bound is at least f
+        dm = 2 * (a & free).bit_count() - 1
+        if dm > 1 and c + f + (f - 2 * edges) // dm <= incumbent:
+            return None
         vbit = 1 << v
-        push((free & ~vbit, unsat, seen, free, layers, chosen))
+        push((free & ~vbit, unsat, seen, free, edges, layers, chosen))
         ku = a & unsat
         if ku == 0:
             # v starts a new unsaturated inclusion; undecided neighbours that
             # already touch an unsaturated vertex would reach two and go out
             nfree = free & ~vbit & ~(a & free & seen)
-            push((nfree, unsat | vbit, seen | (a & nfree), free, layers, chosen | vbit))
+            push((nfree, unsat | vbit, seen | (a & nfree), free, edges, layers, chosen | vbit))
         else:
             # v pairs up with its unsaturated neighbour, the only chosen one
             # a free vertex can have; both saturate
             nfree = free & ~vbit & ~a & ~adj[ku.bit_length() - 1]
-            push((nfree, unsat & ~ku, seen & nfree, free, layers, chosen | vbit))
+            push((nfree, unsat & ~ku, seen & nfree, free, edges, layers, chosen | vbit))
         return None
 
     return start, expand

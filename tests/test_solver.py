@@ -401,15 +401,17 @@ def edge_types(g):
 
 
 def engine_view(state):
-    """A state's search slots: the d=1 engine's counters are left out."""
+    """A state's search slots: the d=1 engine's edge count and counters are
+    left out."""
     return state if len(state) == 2 else state[:3] + state[-1:]
 
 
 def scripted_include(expand, state, v):
     """The d=1 engine's include child of ``state`` on free vertex v, which
     needs a free neighbour: counters with one layer, holding v alone, make
-    v the branch vertex.  Only the child's search slots are meaningful."""
-    scripted = state[:3] + (state[0], (1 << v,)) + state[5:]
+    v the branch vertex, and an edge count of 0 keeps the edge-cover bound
+    above the incumbent.  Only the child's search slots are meaningful."""
+    scripted = state[:3] + (state[0], 0, (1 << v,)) + state[6:]
     return expand_children(expand, scripted, -1)[0]
 
 
@@ -446,7 +448,8 @@ def test_edge_start_is_the_engine_path(monkeypatch):
             children = partial(expand_children, expand)
             start = build(*left)
             if d == 1:
-                assert_counts_on(g.adj, free, start[3], start[4])
+                assert start[4] == free_edges(g.adj, free)
+                assert_counts_on(g.adj, free, start[3], start[5])
             else:
                 assert_free_vertices_can_join(g.adj, d, start)
             roots = recorded[d](build, expand, -1)
@@ -519,6 +522,22 @@ def assert_counts_on(adj, free, counted, layers):
         assert count == (adj[v] & counted).bit_count(), v
 
 
+def free_edges(adj, free):
+    # the edges inside free, recounted from the rows
+    return sum((adj[v] & free).bit_count() for v in bits(free)) // 2
+
+
+def cover_bound_prunes(adj, state, incumbent):
+    """Whether the d=1 edge-cover bound, from popcounts on the rows, prunes
+    a node: with f free vertices, E = sum over free v of |adj[v] & free|
+    and maximum free-degree D >= 2, a completion adds at most
+    f + floor((f - E) / (2D - 1)) of them."""
+    free, chosen = state[0], state[-1]
+    degrees = [(adj[v] & free).bit_count() for v in bits(free)]
+    dmax, f = max(degrees, default=0), len(degrees)
+    return dmax >= 2 and chosen.bit_count() + f + (f - sum(degrees)) // (2 * dmax - 1) <= incumbent
+
+
 def star(leaves):
     return graph_from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -546,29 +565,39 @@ def check_each_expand(monkeypatch, check):
 
 
 def test_free_degree_counters_are_exact(monkeypatch):
-    # at every node the d=1 engine expands, the counters it is handed count
-    # each free vertex's degree into the counted set; past the bound both
-    # children get them caught up, as the popcounts on the node's free set,
-    # and the branch vertex, the one the include child adds, is the full
-    # scan's; at the endgame no free vertex has a free neighbour
-    calls = []
+    # at every node the d=1 engine expands, the counters and the edge count
+    # it is handed count each free vertex's degree into the counted set and
+    # the edges inside it; past the counting bound both children get them
+    # caught up, as the popcounts on the node's free set, the edge-cover
+    # bound read from them prunes exactly where the one recounted from the
+    # rows does, and the branch vertex, the one the include child adds, is
+    # the full scan's; at the endgame no free vertex has a free neighbour
+    calls, cover_prunes = [], [0]
 
     def check(adj, state, incumbent, kids):
-        free, _, _, counted, layers, chosen = state
+        free, unsat, seen, counted, edges, layers, chosen = state
         cap = max(a.bit_count() for a in adj).bit_length()
         assert free & ~counted == 0
         assert len(layers) <= cap
+        assert edges == free_edges(adj, counted)
         assert_counts_on(adj, free, counted, layers)
-        if kids == []:
+        sc, u = (seen & free).bit_count(), unsat.bit_count()
+        if chosen.bit_count() + free.bit_count() - sc + min(u, sc) <= incumbent:
+            assert kids == []
             return  # pruned before the catch-up
         expect, degree = full_scan_branch_vertex(adj, free)
         if kids is None:
             assert degree <= 0
+            return
+        assert (kids == []) == cover_bound_prunes(adj, state, incumbent)
+        if not kids:
+            cover_prunes[0] += 1
         else:
-            assert degree > 0 and kids[0][5] ^ chosen == 1 << expect
+            assert degree > 0 and kids[0][6] ^ chosen == 1 << expect
             for child in kids:
-                assert child[3] == free and len(child[4]) <= cap
-                assert_counts_on(adj, free, free, child[4])
+                assert child[3] == free and len(child[5]) <= cap
+                assert child[4] == free_edges(adj, free)
+                assert_counts_on(adj, free, free, child[5])
         gone = (counted & ~free).bit_count()
         calls.append("most left" if gone > free.bit_count() else "some left" if gone else "none")
 
@@ -577,7 +606,7 @@ def test_free_degree_counters_are_exact(monkeypatch):
     # cliques' maximum degrees are 2^L - 1 and 2^L, and at 2^L the first
     # catch-up borrows through every layer; the edgeless graph and a single
     # vertex have no layer at all
-    assert len(solver_module._engine(star(300).adj, 1)[0](star(300).full_mask, 0)[4]) == 9
+    assert len(solver_module._engine(star(300).adj, 1)[0](star(300).full_mask, 0)[5]) == 9
     small = [star(300), clique(8), clique(9), clique(16), clique(17),
              graph_from_edges(5, []), graph_from_edges(1, [])]
     for g in small:
@@ -597,8 +626,9 @@ def test_free_degree_counters_are_exact(monkeypatch):
         assert res.optimal and len(calls) > 0, g.order
         ways.update(calls)
     # catch-ups ran, and stayed exact, both where more vertices left than
-    # remain and where fewer did
+    # remain and where fewer did; the edge-cover bound pruned
     assert {"most left", "some left"} <= ways
+    assert cover_prunes[0] > 0
     # solve_kneser's orbit roots start from counters on the edge start
     for n, k in ((8, 3), (9, 3), (10, 4)):
         calls.clear()
@@ -657,7 +687,7 @@ def test_d1_states_keep_one_unsaturated_chosen_neighbour(monkeypatch):
     states = [0]
 
     def check(adj, state, incumbent, kids):
-        free, unsat, seen, _, _, chosen = state
+        free, unsat, seen, _, _, _, chosen = state
         touched = 0
         for u in bits(free):
             c = adj[u] & chosen
@@ -678,21 +708,23 @@ def test_d1_states_keep_one_unsaturated_chosen_neighbour(monkeypatch):
     assert states[0] > 5_000
 
 
-# plain solve at d=1, one worker: (size, nodes, witness), recorded before
-# the branch scan stopped at the cap
+# plain solve at d=1, one worker: (size, nodes, witness).  Sizes and
+# witnesses were recorded before the branch scan stopped at the cap; node
+# counts since the edge-cover bound
 D1_TRAVERSALS = {
-    "K(7,3)": (20, 5635, 0x965B96EF),
-    "K(8,3)": (21, 46327, 0x1FFFFF),
-    "K(9,3)": (28, 46689, 0xFFFFFFF),
-    "G(40,0.2) seed 13": (16, 6925, 0x7086C215C6),
-    "G(60,0.1) seed 2": (30, 121561, 0x871260B3C9D39AF),
+    "K(7,3)": (20, 2159, 0x965B96EF),
+    "K(8,3)": (21, 28145, 0x1FFFFF),
+    "K(9,3)": (28, 33411, 0xFFFFFFF),
+    "G(40,0.2) seed 13": (16, 6325, 0x7086C215C6),
+    "G(60,0.1) seed 2": (30, 119511, 0x871260B3C9D39AF),
 }
 
-# solve_kneser at d=1, one worker: (size, nodes, witness, optimal),
-# recorded before the branch vertex came from bit-sliced counters
+# solve_kneser at d=1, one worker: (size, nodes, witness, optimal).  Sizes,
+# witnesses and flags were recorded before the branch vertex came from
+# bit-sliced counters; node counts since the edge-cover bound
 D1_KNESER_TRAVERSALS = {
-    (8, 3, None): (21, 123, 0x1FFFFF, True),
-    (9, 3, None): (28, 35, 0xFFFFFFF, True),
+    (8, 3, None): (21, 89, 0x1FFFFF, True),
+    (9, 3, None): (28, 17, 0xFFFFFFF, True),
     (10, 4, 20_000): (84, 20_001, 0xFFFFFFFFFFFFFFFFFFFFF, False),
 }
 
@@ -1074,6 +1106,17 @@ def test_general_d_drops_exactly_the_per_vertex_rule():
     assert {(d, "saturated") for d in (0, 2, 3)} <= seen
     assert {(d, "saturated next to fronts") for d in (2, 3, 4, 5)} <= seen
     assert {(d, "group") for d in (3, 4, 5)} <= seen
+
+
+def test_d1_matches_brute_force_on_random_graphs():
+    # plain solve at d=1, with both of its bounds, against the oracle, which
+    # shares no bound with it
+    rng = random.Random(30)
+    for i in range(240):
+        g = random_graph(rng.randint(8, 20), (0.15, 0.3, 0.5, 0.7)[i % 4], rng)
+        res = solve(g, 1)
+        assert res.optimal and res.best_size == brute_force(g, 1), (i, g.order)
+        assert check_max_degree(g, res.witness, 1)
 
 
 def test_general_d_matches_brute_force_on_random_graphs():
