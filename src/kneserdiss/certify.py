@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, require_int
 from .graphs import GenericGraph, bits, mask_of, vertex_mask
-from .kneser import KneserGraph, KSubset
+from .kneser import KneserGraph
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
 
@@ -244,19 +244,15 @@ def _family_masks(family, n: int, k: int) -> frozenset:
     require_int("k", k, 1, n)
     masks = set()
     for member in family:
-        if isinstance(member, KSubset):
-            mask = member.mask
-        elif hasattr(member, "__iter__"):
-            mask = 0
-            for e in member:
-                require_int("element", e, 1, n)
-                if mask >> (e - 1) & 1:
-                    raise DomainError(f"family member {member!r} names element {e} twice")
-                mask |= 1 << (e - 1)
-        else:
-            require_int("family member", member, 0)  # a mask; True is no set
-            mask = member
-        if mask >> n or mask.bit_count() != k:
+        if not hasattr(member, "__iter__"):
+            raise DomainError(f"family member {member!r} is not a set of elements")
+        mask = 0
+        for e in member:
+            require_int("element", e, 1, n)
+            if mask >> (e - 1) & 1:
+                raise DomainError(f"family member {member!r} names element {e} twice")
+            mask |= 1 << (e - 1)
+        if mask.bit_count() != k:
             raise DomainError(f"family member {member!r} is not a k-subset of [n]")
         masks.add(mask)
     return frozenset(masks)

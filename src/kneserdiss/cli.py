@@ -15,12 +15,13 @@ import json
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 
 from .certificates import certificate_from_json
 from .errors import CapacityError, DomainError, SearchFailure
 from .graphs import bits, read_dimacs, write_dimacs
-from .kneser import build_kneser, certificate_mask, kneser_from_json, kneser_to_json
+from .kneser import (
+    _lex_elements, build_kneser, certificate_mask, kneser_from_json, kneser_to_json,
+)
 
 
 def _parse_duration(text: str) -> float:
@@ -65,27 +66,9 @@ def cmd_solve(args) -> int:
     budget = _budget_from_args(args)
     result = solver.solve_kneser(args.n, args.k, args.max_degree, budget)
     doc = result.to_json_dict()
-    doc["witness"] = _lex_subsets(args.n, args.k, result.witness)
+    doc["witness"] = list(_lex_elements(args.n, args.k, result.witness))
     print(json.dumps(doc))
     return 0 if result.optimal else 3
-
-
-def _lex_subsets(n: int, k: int, ranks: int) -> list[list[int]]:
-    """Elements of the k-subsets of [n] whose lexicographic ranks (the
-    vertex order of K(n, k)) are the set bits of ``ranks``."""
-    out = []
-    for r in bits(ranks):
-        elements, x = [], 1
-        for rest in range(k - 1, -1, -1):
-            # the comb(n - x, rest) subsets that take x next all rank before
-            # those that skip it
-            while r >= (ahead := comb(n - x, rest)):
-                r -= ahead
-                x += 1
-            elements.append(x)
-            x += 1
-        out.append(elements)
-    return out
 
 
 def cmd_bound(args) -> int:

@@ -42,7 +42,8 @@ def bits(mask: int):
     touches the whole mask, so on a mask wider than one 64-bit word the
     loop runs inside each word: the mask is cut into words in one pass,
     and walking s set bits of a V-bit mask costs O(V/64 + s) word steps,
-    not O(s * V/30) digit steps.  A mask below 2**64 runs the loop as is.
+    not O(s * V/30) digit steps.  A mask below 2**64 runs the loop as is,
+    and a negative mask, which names no set, raises DomainError.
     """
     if mask > 0xFFFF_FFFF_FFFF_FFFF:
         nwords = (mask.bit_length() + 63) >> 6
@@ -54,6 +55,8 @@ def bits(mask: int):
                 word ^= lsb
             off += 64
         return
+    if mask < 0:  # -1 & 1 is 1 and -1 ^ 1 is -2: the loop below never ends
+        raise DomainError(f"vertex set {mask} is negative")
     while mask:
         lsb = mask & -mask
         yield lsb.bit_length() - 1

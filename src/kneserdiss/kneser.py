@@ -15,7 +15,8 @@ A row is one AND of its (k-1)-prefix's free set, formed once per prefix,
 with the complement of its last element's center.  A vertex is found
 from its k elements the same way: the intersection of their k centers
 holds that vertex and no other.  ``certificate_mask`` is the one place
-that turns a certificate into a vertex bitset.
+that turns a certificate into a vertex bitset, and ``_lex_elements`` the
+one that turns vertex indices back into elements.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 
 from .certificates import Certificate, _load_json
 from .errors import CapacityError, DomainError, _require_kneser, require_int
-from .graphs import GenericGraph, bits, require_adjacency_fits
+from .graphs import GenericGraph, bits, require_adjacency_fits, vertex_mask
 
 MAX_GROUND_SET = 64
 
@@ -90,18 +91,15 @@ class KneserGraph(GenericGraph):
     centers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def vertex_index(self, vertex) -> int:
-        """Index of a vertex given as an index, KSubset, or element iterable.
+        """Index of a vertex given as an index or an element iterable.
 
         The vertices holding every element are the intersection of their
         centers, which for k distinct elements is exactly the vertex.
         """
-        if isinstance(vertex, KSubset):
-            elements = vertex.elements
-        elif hasattr(vertex, "__iter__"):
-            elements = tuple(vertex)
-        else:
+        if not hasattr(vertex, "__iter__"):
             require_int("vertex index", vertex, 0, self.order - 1)
             return vertex
+        elements = tuple(vertex)
         common = -1  # every bit set: every vertex, without a V-bit allocation
         for e in elements:
             require_int("element", e, 1, self.n)
@@ -116,9 +114,25 @@ class KneserGraph(GenericGraph):
         require_int("element", i, 1, self.n)
         return self.centers[i - 1]
 
-    def vertex_set_elements(self, s: int) -> tuple[tuple[int, ...], ...]:
-        """Element tuples of the vertices in bitset ``s``."""
-        return tuple(self.vertices[i].elements for i in bits(s))
+    def vertex_set_elements(self, s) -> tuple[tuple[int, ...], ...]:
+        """Element tuples of the vertex set ``s``, a bitset or indices."""
+        return tuple(_lex_elements(self.n, self.k, vertex_mask(self, s)))
+
+
+def _lex_elements(n: int, k: int, ranks: int):
+    """Yield the element tuples of the k-subsets of [n] whose lexicographic
+    ranks, the vertex order of K(n, k), are the set bits of ``ranks``."""
+    for r in bits(ranks):
+        elements, x = [], 1
+        for rest in range(k - 1, -1, -1):
+            # the comb(n - x, rest) subsets that take x next all rank before
+            # those that skip it
+            while r >= (ahead := comb(n - x, rest)):
+                r -= ahead
+                x += 1
+            elements.append(x)
+            x += 1
+        yield tuple(elements)
 
 
 def _check_parameters(n: int, k: int) -> None:

@@ -651,9 +651,9 @@ def _edge_orbit_roots(g: KneserGraph, d: int, start, expand, incumbent: int) -> 
     bound prunes against ``incumbent`` first.
     """
     k, adj = g.k, g.adj
-    y = g.vertex_index(range(k + 1, 2 * k + 1))
+    x, y = g.vertex_index(range(1, k + 1)), g.vertex_index(range(k + 1, 2 * k + 1))
     # the free set the include rule leaves after x and then y (module docstring)
-    state = start(*_degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, 0), y))
+    state = start(*_degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, x), y))
     xs, ys = _edge_type_layers(g)
     low = (1 << k) - 1
     roots = []
@@ -672,7 +672,7 @@ def _edge_orbit_roots(g: KneserGraph, d: int, start, expand, incumbent: int) -> 
         state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + exclude[1:]
 
 
-def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
+def brute_force(g: GenericGraph, d: int) -> int:
     """Oracle: exhaustive enumeration with early degree-violation pruning.
 
     A branch is cut only when taking every undecided vertex could not beat
@@ -680,9 +680,8 @@ def brute_force(g: GenericGraph, d: int, cap: int = BRUTE_FORCE_CAP) -> int:
     Rows that are not a simple graph's raise DomainError first.
     """
     _require_simple(g)
-    require_int("cap", cap, 0)
-    if g.order > cap:
-        raise CapacityError(f"brute force capped at {cap} vertices")
+    if g.order > BRUTE_FORCE_CAP:
+        raise CapacityError(f"brute force capped at {BRUTE_FORCE_CAP} vertices")
     require_int("d", d, 0)
     adj = g.adj
     order = g.order

@@ -3,11 +3,13 @@
 perfbench/tracing.py wraps functions by name, and perfbench/selfcheck.py
 builds budgets and reads results, so a name cut from the package would
 break ``run.py --trace 1`` or the self-check before any benchmark ran.
+perfbench/wl_cli.py counts the rows of each ``reproduce`` group.
 These tests read perfbench/ and change nothing there.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -16,14 +18,18 @@ import kneserdiss.certify as certify_module
 import kneserdiss.cli  # noqa: F401  (tracing targets kneserdiss.cli.main)
 from kneserdiss import SearchBudget, build_kneser, solve_kneser
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing_targets():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.TARGETS
+    return _load("tracing").TARGETS
 
 
 def _owner(path):
@@ -98,3 +104,14 @@ def test_reproduce_oracles_go_through_traced_names(monkeypatch, capsys, group, n
     assert len(seen) == calls
     assert ("kneserdiss.certify", name, "certify.oracle") in _tracing_targets()
 
+
+def test_reproduce_rows_match_the_cli_workload(monkeypatch, capsys):
+    # perfbench/wl_cli.py expects REPRODUCE_GROUPS[g] rows from each group
+    # g; a group that grows or shrinks would fail that workload's check
+    # with "N rows, expected M" and no other sign
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # wl_cli imports its siblings
+    groups = _load("wl_cli").REPRODUCE_GROUPS
+    assert tuple(groups) == kneserdiss.cli.ALL_GROUPS
+    for group, want in groups.items():
+        assert kneserdiss.cli.main(["reproduce", "--rows", group, "--output", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == want, group

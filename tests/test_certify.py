@@ -472,18 +472,21 @@ def test_family_validation():
     ring = CyclicArrangement(order=(1, 2, 3, 4))
     with pytest.raises(DomainError):
         substrings_in_arrangement(ring, [(1, 2, 3)], 2)
-    # each element and each mask member is checked like every other
-    # integer argument: 1.5 and 0 are no elements, True is no set, and
-    # (1, 1, 3) is no 2-set although its bits would make one
+    # each element is checked like every other integer argument: 1.5 and
+    # 0 are no elements, and (1, 1, 3) is no 2-set although its bits would
+    # make one; a member is its elements, so True, a number or a KSubset
+    # is no member
     for member, message in [((1.5, 2), "element 1.5 is not an int"),
                             ((0, 2), r"element 0 out of range \[1, 4\]"),
-                            (True, "family member True is a bool"),
-                            (2.5, "family member 2.5 is not an int"),
+                            (True, "family member True is not a set of elements"),
+                            (2.5, "family member 2.5 is not a set of elements"),
                             ((1, 1, 3), "names element 1 twice"),
-                            (-1, "family member -1 out of range")]:
+                            (-1, "family member -1 is not a set of elements"),
+                            (0b1100, "family member 12 is not a set of elements"),
+                            (KSubset(0b1001, 4), r"family member \{1,4\} is not a set")]:
         with pytest.raises(DomainError, match=message):
             substrings_in_arrangement(ring, [member], 2)
-    assert substrings_in_arrangement(ring, [(2, 1), 0b1100, KSubset(0b1001, 4)], 2) == 3
+    assert substrings_in_arrangement(ring, [(2, 1), [3, 4], range(1, 5, 3)], 2) == 3
 
 
 @pytest.mark.parametrize("call, error", [

@@ -148,9 +148,10 @@ def test_solve_witness_is_unranked_like_the_enumeration(capsys, monkeypatch):
     # the witness's vertices are unranked one by one; the JSON is byte for
     # byte what labelling them through the whole enumeration gives
     for n, k in ((4, 1), (6, 3), (9, 4), (11, 2)):
-        everything = [list(v.elements) for v in kneser_module.enumerate_k_subsets(n, k)]
-        assert cli_module._lex_subsets(n, k, (1 << len(everything)) - 1) == everything
-        assert cli_module._lex_subsets(n, k, 0) == []
+        everything = [v.elements for v in kneser_module.enumerate_k_subsets(n, k)]
+        full = (1 << len(everything)) - 1
+        assert list(kneser_module._lex_elements(n, k, full)) == everything
+        assert list(kneser_module._lex_elements(n, k, 0)) == []
     real = solver_module.solve_kneser
     results = []
 

@@ -47,7 +47,7 @@ COUNTS = [
     ("vertex_index", PETERSEN.vertex_index, (2,), ((float,),)),
     ("graph_from_edges", lambda order: kd.graph_from_edges(order, []), (3,), (ALL,)),
     ("mask_of", lambda i: kd.mask_of([i]), (1,), (ALL,)),
-    ("brute_force", lambda cap: kd.brute_force(PETERSEN, 1, cap), (20,), (ALL,)),
+    ("brute_force", lambda d: kd.brute_force(PETERSEN, d), (1,), (ALL,)),
     ("window_masks", RING.window_masks, (2,), (ALL,)),
     ("all_arrangements", lambda n: list(kd.all_arrangements(n)), (4,), (ALL,)),
     ("max_substrings", lambda n, k: kd.max_substrings(n, k, []), (4, 1), (ALL, ALL)),

@@ -133,8 +133,38 @@ def test_vertex_index_finds_every_vertex(n, k):
     g = build_kneser(n, k)
     for i, v in enumerate(g.vertices):
         els = v.elements
-        for given in (els, list(els), els[::-1], v, i):
+        for given in (els, list(els), els[::-1], i):
             assert g.vertex_index(given) == i, (n, k, given)
+
+
+def test_removed_vertex_forms_raise_domain_error():
+    # a vertex is an index or its elements; a KSubset, and a vertex set
+    # that is a bool, negative or past the graph, names nothing
+    g = build_kneser(5, 2)
+    with pytest.raises(DomainError, match="not an int"):
+        g.vertex_index(KSubset(0b11, 5))
+    for bad in (-1, 1 << g.order, True):
+        with pytest.raises(DomainError):
+            g.vertex_set_elements(bad)
+
+
+def test_vertex_set_elements_unranks_without_the_vertex_table():
+    # the elements come from the indices, not from g.vertices
+    for n, k in ((5, 2), (8, 3), (9, 4)):
+        g = build_kneser(n, k)
+        bare = dataclasses.replace(g, vertices=())
+        assert bare.vertex_set_elements(g.full_mask) == tuple(v.elements for v in g.vertices)
+        assert bare.vertex_set_elements([0, g.order - 1]) == (g.vertices[0].elements,
+                                                              g.vertices[-1].elements)
+        assert bare.vertex_set_elements(0) == ()
+
+
+def test_bits_refuses_a_negative_mask():
+    # -1 & 1 is 1 and -1 ^ 1 is -2, so the lowest-bit loop never ended;
+    # next() fails at once instead of hanging if it comes back
+    for mask in (-1, -2, -(1 << 70)):
+        with pytest.raises(DomainError, match="negative"):
+            next(bits(mask))
 
 
 def test_vertex_index_rejects_non_vertices():

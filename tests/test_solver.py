@@ -77,10 +77,10 @@ def test_brute_force_values():
 
 
 def test_brute_force_cap():
-    g = random_graph(27, 0.5, random.Random(1))
-    with pytest.raises(CapacityError):
-        brute_force(g, 1)
-    assert brute_force(g, 1, cap=27) > 0
+    cap = solver_module.BRUTE_FORCE_CAP
+    with pytest.raises(CapacityError, match=f"capped at {cap} vertices"):
+        brute_force(random_graph(cap + 1, 0.5, random.Random(1)), 1)
+    assert brute_force(random_graph(cap, 0.5, random.Random(1)), 1) > 0
 
 
 def test_oracle_equivalence_on_small_kneser_graphs():
