@@ -223,11 +223,18 @@ def certificate_mask(g: GenericGraph, cert: Certificate) -> int:
 
     Members are element tuples on a Kneser graph, whose n and k the
     certificate must match when it names them, or 1-based vertex indices
-    on any graph.  A vertex named twice is an error, so the set's size is
-    the certificate's length.
+    on any graph.  On any other graph a certificate that names both n and
+    k must name a valid K(n, k) with g's order.  A vertex named twice is an
+    error, so the set's size is the certificate's length.
     """
-    if isinstance(g, KneserGraph) and not (cert.n in (None, g.n) and cert.k in (None, g.k)):
-        raise DomainError(f"certificate names n={cert.n} k={cert.k}, graph is K({g.n},{g.k})")
+    n, k = cert.n, cert.k
+    if isinstance(g, KneserGraph):
+        if not (n in (None, g.n) and k in (None, g.k)):
+            raise DomainError(f"certificate names n={n} k={k}, graph is K({g.n},{g.k})")
+    elif n is not None and k is not None:
+        _require_kneser(n, k)  # before the binomial, which may be huge
+        if comb(n, k) != g.order:
+            raise DomainError(f"certificate names K({n},{k}), graph has {g.order} vertices")
     mask = 0
     for member in cert.members:
         if isinstance(member, tuple):

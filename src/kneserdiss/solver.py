@@ -58,22 +58,19 @@ which u saturates too.  When those removals exceed room, no completion
 holding u beats the incumbent, and u leaves free without a branch.  All
 such vertices leave at once: a completion that beats the incumbent holds
 none of them, so it is a completion of the node without them.  A node
-finds its fronts once, as one bitset.  A vertex with fewer than d chosen
-neighbours touches at most d - 1 fronts, so fronts are tested in groups:
-a group condemns the free vertices next to all of its fronts when the
-fronts' free neighbourhoods together hold more than room vertices.  A
-group of one that passes condemns more than room vertices and leaves
-fewer than need, so the node is pruned.  The test only gets easier to
-pass as the group grows, so no group that passes is extended.  A vertex
-with d chosen neighbours is tested alone, with its own free neighbours
-and those of the fronts next to it.  At d=0 there are no fronts, and the
-rule is the maximum independent set rule: u leaves once
-|N(u) & free| >= room.  It is the same kind of reduction as those of Xiao
-and Kou for maximum dissociation sets (Theor. Comput. Sci. 2017).  The
-bound keeps the node's R, so every feasible completion still satisfies
-its inequality, but it adds up only the weights of the vertices left,
-since a completion that beats the incumbent holds no dropped vertex; a
-node left with fewer than need free vertices is pruned.
+finds its fronts once, as one bitset, and tests each free vertex against
+the fronts next to it.  A front with more than room free neighbours
+condemns them all and leaves fewer than need, so the node is pruned; past
+that, one front never condemns a vertex alone, and a vertex with fewer
+than d chosen neighbours goes only when two fronts or more are next to
+it.  At d=0 there are no fronts, and the rule is the maximum independent
+set rule: u leaves once |N(u) & free| >= room.  It is the same kind of
+reduction as those of Xiao and Kou for maximum dissociation sets (Theor.
+Comput. Sci. 2017).  The bound keeps the node's R, so every feasible
+completion still satisfies its inequality, but it adds up only the
+weights of the vertices left, since a completion that beats the
+incumbent holds no dropped vertex; a node left with fewer than need free
+vertices is pruned.
 
 ``solve`` and ``solve_kneser`` share one search path, one depth-first
 search in one process, which may start from a list of given states
@@ -296,12 +293,13 @@ def _degd_expand(adj, d, state, incumbent, push):
     The same pass drops the free vertices whose include child cannot beat
     the incumbent (module docstring).  The chosen vertices' walk collects
     the fronts as one bitset and prunes the node at a front with more than
-    room free neighbours; groups of 2..d-1 fronts are tested next, by one
-    search from the empty group; the walk over the free vertices left
-    tests each vertex with d chosen neighbours against its free neighbours
-    and those of the fronts next to it, and the dropped vertices add only
-    their r to the slack.  The branch vertex is the most constrained vertex
-    left: the most chosen neighbours c = r - du, then the most free
+    room free neighbours.  The walk over the free vertices decides every
+    drop: a vertex with c = r - du = d chosen neighbours goes when it, its
+    du free neighbours and those of the fronts next to it are more than
+    room, and a vertex below d when the fronts next to it, two or more,
+    have more than room free neighbours together.  A dropped vertex adds
+    only its r to the slack.  The branch vertex is the most constrained
+    vertex left: the most chosen neighbours c, then the most free
     neighbours du, then the lowest index.  Both children are built from the
     vertices left.
     """
@@ -319,9 +317,6 @@ def _degd_expand(adj, d, state, incumbent, push):
     slack = 0
     front = d - 1  # chosen neighbours of a front
     fronts = 0  # bitset of the fronts
-    grouped = d >= 3  # else no free vertex with room to join touches two fronts
-    front_free = []  # free neighbours of each front, for the group test
-    one = two = 0  # free vertices next to at least one, two fronts
     # at d=0 no chosen vertex has a neighbour in R
     m = chosen if d else 0
     while m:
@@ -337,53 +332,35 @@ def _degd_expand(adj, d, state, incumbent, push):
             if r - front > room:
                 return None
             fronts |= lsb
-            if grouped:
-                fs = a & free
-                front_free.append(fs)
-                two |= one & fs
-                one |= fs
     left = free  # the free vertices not dropped
-    # a group condemns only vertices next to two of its fronts or more
-    if two:
-        left = _wider_groups(front_free, d - 1, room, left, 0, left, 0)
-        # vertices dropped so far count in 2e(R) and nowhere else
-        m = free & ~left
-        while m:
-            lsb = m & -m
-            m ^= lsb
-            slack += (adj[lsb.bit_length() - 1] & live).bit_count()
     weights = []  # of the vertices left
     v, best_c, best_d = -1, -1, -1
-    m = left
+    m = free
     while m:
         lsb = m & -m
         u = lsb.bit_length() - 1
         m ^= lsb
         a = adj[u]
         r = (a & live).bit_count()
-        slack += r
-        du = (a & free).bit_count()
+        slack += r  # a dropped vertex counts in 2e(R) and nowhere else
+        af = a & free
+        du = af.bit_count()
         c = r - du
-        # no free vertex has more than d chosen neighbours, so every one
-        # with d gets past the first test
-        if c >= best_c:
-            if c == d:
-                # including u saturates u and every front next to it
-                if du >= room:
-                    left ^= lsb
-                    continue
-                nb = a & fronts
-                if nb:
-                    gone = a & free
-                    while nb:
-                        low = nb & -nb
-                        nb ^= low
-                        gone |= adj[low.bit_length() - 1] & free
-                    if gone.bit_count() > room:
-                        left ^= lsb
-                        continue
-            if c > best_c or du > best_d:
-                best_c, best_d, v = c, du, u
+        # including u removes u, its free neighbours when u saturates (c =
+        # d), and the free neighbours of each front next to it.  One front
+        # alone removes at most room, so below d only c >= 2 is tested
+        if c > 1 or c == d:
+            gone = af | lsb if c == d else 0
+            nb = a & fronts
+            while nb:
+                low = nb & -nb
+                nb ^= low
+                gone |= adj[low.bit_length() - 1] & free
+            if gone.bit_count() > room:
+                left ^= lsb
+                continue
+        if c > best_c or c == best_c and du > best_d:
+            best_c, best_d, v = c, du, u
         weights.append(2 * r - d if r > d else r)
     # a better completion takes need of the vertices left, and weights are
     # nonnegative, so it needs the need smallest weights to fit in the slack
@@ -396,28 +373,6 @@ def _degd_expand(adj, d, state, incumbent, push):
     push((left & ~(1 << v), chosen))
     push(_degd_include(adj, d, left, chosen, v))
     return None
-
-
-def _wider_groups(front_free, more, room, left, start, common, union):
-    """``left`` less every free vertex next to all fronts of a group whose
-    free neighbourhoods together hold more than room vertices.
-
-    The group so far has ``common`` next to all of its fronts and ``union``
-    next to any; it grows by up to ``more`` fronts of ``front_free`` from
-    ``start`` on.  From the empty group (``common`` = ``left``, ``union`` =
-    0) every group of up to ``more`` fronts is tested.  The test only gets
-    easier to pass as a group grows, so a group that passes is not
-    extended, and only groups with a common neighbour in ``left`` are.
-    """
-    for j in range(start, len(front_free)):
-        both = common & front_free[j] & left
-        if both:
-            wider = union | front_free[j]
-            if wider.bit_count() > room:
-                left &= ~both
-            elif more > 1:
-                left = _wider_groups(front_free, more - 1, room, left, j + 1, both, wider)
-    return left
 
 
 def _degd_include(adj, d, free, chosen, v):

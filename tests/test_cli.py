@@ -215,6 +215,21 @@ def test_verify_kneser_json_graph(tmp_path, capsys):
     assert err.startswith("error:") and "{1,1,2}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n,k", [("7", 3), ("3", 2), ("1" + "0" * 4000, 2), ("1" + "0" * 5000, 2)],
+                         ids=["K(7,3)", "n<2k", "n=10**4000", "n=10**5000"])
+def test_verify_dimacs_certificate_naming_another_kneser_graph_exit_2(
+        n, k, petersen_files, capsys, tmp_path):
+    # a certificate that names n and k is checked against K(n, k) on a
+    # DIMACS graph too: K(7,3) has 35 vertices, not Petersen's 10, and the
+    # others name no Kneser graph whose order could be formed
+    graph, _ = petersen_files
+    cert = tmp_path / "other.json"
+    cert.write_text('{"n": %s, "k": %d, "d": 0, "set": [1, 2]}' % (n, k))
+    code, out, err = run(capsys, "verify", str(graph), str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("form", ["kneser", "dimacs"])
 def test_verify_repeated_member_exit_2(form, tmp_path, capsys):
     # a vertex named twice would let a certificate claim more vertices than

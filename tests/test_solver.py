@@ -275,11 +275,15 @@ def test_heuristic_mask_is_heuristic_lower():
 # witnesses were recorded from the solve_kneser whose vertex lookup went
 # through a dict over all vertices; the d=2 rows' nodes and the budgeted
 # K(9,4) witness from the general-d engine that branches on the most
-# constrained vertex
+# constrained vertex.  The d >= 3 rows are searches where free vertices
+# below d are dropped next to two fronts or more
 VERTEX_FREE_CASES = {
     (7, 3, 0): (15, True, 0, 0x7FFF, "independence_number"),
     (7, 3, 1): (20, True, 0, 0x965B96EF, "edge_local"),
     (7, 3, 2): (22, True, 277, 0x182F9BE7F, None),
+    (7, 3, 3): (28, True, 858, 0x6FBBBBFBD, None),
+    (8, 2, 4): (11, True, 1218, 0x1E0BF, None),
+    (9, 2, 5): (13, True, 9284, 0xF817F, None),
     (9, 4, 0): (56, True, 0, 0xFFFFFFFFFFFFFF, "independence_number"),
     (9, 4, 1): (70, True, 0, 0x2258965B8965B96EF12CB72DDE5BBDF, "edge_local"),
     (9, 4, 2): (57, False, 2001, 0x61087EF6601F99607303F37C0207873, None),
@@ -894,13 +898,15 @@ def test_general_d_free_vertices_can_always_join():
                     assert witness == state[1] and check_max_degree(g, witness, d)
 
 
-# plain solve at d = 2, 3, one worker: (size, nodes, witness), recorded
-# from the general-d engine that drops the free vertices whose include
-# child cannot beat the incumbent, bounds with the weights of the vertices
-# left and branches on the most constrained of them
+# plain solve at d = 2, 3 and, where free vertices below d are dropped
+# next to two fronts or more, 5; one worker: (size, nodes, witness),
+# recorded from the general-d engine that drops the free vertices whose
+# include child cannot beat the incumbent, bounds with the weights of the
+# vertices left and branches on the most constrained of them
 DD_TRAVERSALS = {
     ("K(7,2)", 2): (7, 577, 0x184F),
     ("K(7,2)", 3): (10, 455, 0x99CF),
+    ("K(7,2)", 5): (12, 1877, 0x53B8F),
     ("K(8,2)", 2): (7, 1955, 0x7F),
     ("K(8,2)", 3): (10, 2475, 0x4638F),
     ("K(9,2)", 2): (8, 3255, 0xFF),
@@ -1068,10 +1074,10 @@ def rule_drops(adj, d, state, room):
 
 def test_general_d_drops_exactly_the_per_vertex_rule():
     # under every incumbent from |chosen| to |chosen| + |free|, a node that
-    # branches drops exactly the free vertices of the per-vertex rule, so
-    # finding fronts and searching groups of them loses none.  A front with
-    # more than room free neighbours condemns them all and leaves fewer
-    # than need, so such a node prunes
+    # branches drops exactly the free vertices of the per-vertex rule, read
+    # here off each vertex's chosen neighbours alone.  A front with more
+    # than room free neighbours condemns them all and leaves fewer than
+    # need, so such a node prunes
     rng = random.Random(43)
     graphs = [build_kneser(5, 2), build_kneser(6, 2)] + [
         random_graph(rng.randint(6, 12), (0.2, 0.4, 0.6, 0.8)[i % 4], rng) for i in range(12)
@@ -1093,10 +1099,10 @@ def test_general_d_drops_exactly_the_per_vertex_rule():
                     dropped = rule_drops(adj, d, state, room)
                     assert dropped_vertices(state, kids) == dropped, (g.order, d, incumbent)
                     for u in bits(dropped):
-                        # below d chosen neighbours only a group drops u,
-                        # since a single front prunes the node
+                        # below d chosen neighbours only two fronts or more
+                        # drop u, since a single front prunes the node
                         if (adj[u] & chosen).bit_count() < d:
-                            seen.add((d, "group"))
+                            seen.add((d, "below d next to fronts"))
                         elif (adj[u] & free).bit_count() >= room:
                             seen.add((d, "saturated"))
                         else:
@@ -1105,7 +1111,7 @@ def test_general_d_drops_exactly_the_per_vertex_rule():
     # chosen neighbours has room free ones
     assert {(d, "saturated") for d in (0, 2, 3)} <= seen
     assert {(d, "saturated next to fronts") for d in (2, 3, 4, 5)} <= seen
-    assert {(d, "group") for d in (3, 4, 5)} <= seen
+    assert {(d, "below d next to fronts") for d in (3, 4, 5)} <= seen
 
 
 def test_d1_matches_brute_force_on_random_graphs():
