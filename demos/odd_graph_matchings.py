@@ -29,9 +29,10 @@ for k in (2, 3):
     worst = None
     for size in range(1, len(center) + 1):
         for sub in combinations(center, size):
-            assert odd_expansion_check(g, sub)
+            lmask = sum(1 << v for v in sub)
+            assert odd_expansion_check(g, lmask)
             checked += 1
-            ratio = odd_neighborhood(g, sub)[1].bit_count() / len(sub)
+            ratio = odd_neighborhood(g, lmask)[1].bit_count() / size
             if worst is None or ratio < worst[0]:
                 worst = (ratio, size)
     print(f"expansion holds for all {checked} nonempty subsets; "
@@ -41,8 +42,8 @@ for k in (2, 3):
     rng = random.Random(k)
     for _ in range(3):
         sub = rng.sample(center, rng.randint(2, len(center)))
-        res = odd_hall_matching(g, sub)
-        pairs = [(g.vertices[x].elements, g.vertices[y].elements)
+        res = odd_hall_matching(g, sum(1 << v for v in sub))
+        pairs = [g.vertex_set_elements(1 << x) + g.vertex_set_elements(1 << y)
                  for x, y in res.matching]
         print(f"|L|={len(sub)}: saturating matching, e.g. "
               f"{set(pairs[0][0])} -> {set(pairs[0][1])}")

@@ -51,7 +51,6 @@ _EXPORTS = {
         "bits",
         "graph_from_edges",
         "induced_subgraph",
-        "mask_of",
         "read_dimacs",
         "write_dimacs",
     ),

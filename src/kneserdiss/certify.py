@@ -17,7 +17,7 @@ from math import factorial
 from types import MappingProxyType
 
 from .errors import CapacityError, DomainError, require_int
-from .graphs import GenericGraph, bits, mask_of, vertex_mask
+from .graphs import GenericGraph, bits, vertex_mask
 from .kneser import KneserGraph
 
 ARRANGEMENT_CAP = 9  # (n-1)! arrangements are enumerated exhaustively
@@ -133,15 +133,15 @@ def _odd_graph(g) -> int:
     raise DomainError(f"need an odd graph K(2k+1, k) with k >= 2, got {shown}")
 
 
-def odd_neighborhood(g: KneserGraph, subset) -> tuple[int, int]:
+def odd_neighborhood(g: KneserGraph, subset: int) -> tuple[int, int]:
     """L and N(L) n D in the odd graph g = K(2k+1, k), as bitsets.
 
-    L must be a nonempty subset of the center of element 2k+1; D is the set
-    of vertices avoiding 2k+1 (they induce a perfect matching).
+    The bitset L must be a nonempty subset of the center of element 2k+1;
+    D is the set of vertices avoiding 2k+1 (they induce a perfect matching).
     """
     k = _odd_graph(g)
     center = g.center_mask(2 * k + 1)
-    lmask = mask_of(g.vertex_index(item) for item in subset)
+    lmask = vertex_mask(g, subset)
     if lmask == 0:
         raise DomainError("L must be nonempty")
     if lmask & ~center:
@@ -153,7 +153,7 @@ def odd_neighborhood(g: KneserGraph, subset) -> tuple[int, int]:
     return lmask, nbhd & ~center
 
 
-def odd_expansion_check(g: KneserGraph, subset) -> bool:
+def odd_expansion_check(g: KneserGraph, subset: int) -> bool:
     """Exact test of k*|N(L) n D| >= (k+1)*|L| in the odd graph g = K(2k+1, k)."""
     lmask, nbhd = odd_neighborhood(g, subset)
     return g.k * nbhd.bit_count() >= (g.k + 1) * lmask.bit_count()
@@ -184,11 +184,11 @@ def odd_expansion_violator(g: KneserGraph) -> frozenset | None:
     return None if result.saturated else frozenset(x // (k + 1) for x in result.violator)
 
 
-def odd_hall_matching(g: KneserGraph, subset) -> MatchingResult:
+def odd_hall_matching(g: KneserGraph, subset: int) -> MatchingResult:
     """Matching of L into D along the edges of the odd graph g, or a Hall violator.
 
     This is the bipartite graph behind diss(K(2k+1, k)) = C(2k, k), with L
-    and D as in odd_expansion_check; vertices are graph indices.
+    and D as in odd_neighborhood; the matched pairs are vertex indices.
     """
     lmask, nbhd = odd_neighborhood(g, subset)
     edges = [(u, v) for u in bits(lmask) for v in bits(g.adj[u] & nbhd)]

@@ -191,7 +191,7 @@ def _reproduce_rows(groups, budget, rng):
                              True, ok, "oracle"))
 
             # drawn up front, so all() stopping early skips no draw
-            samples = [rng.sample(center, rng.randint(1, len(center)))
+            samples = [sum(1 << v for v in rng.sample(center, rng.randint(1, len(center))))
                        for _ in range(200)]
             saturated = all(certify.odd_hall_matching(g, sub).saturated
                             for sub in samples)

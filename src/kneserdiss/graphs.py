@@ -3,7 +3,7 @@
 A graph on ``order`` vertices stores, for each vertex ``v``, an integer
 ``adj[v]`` whose bit ``u`` is set iff ``u`` and ``v`` are adjacent.  Vertex
 sets throughout the package are plain integers used as bitmasks over the
-vertex indices ``0 .. order-1``.
+vertex indices ``0 .. order-1``; a vertex-set argument takes no other form.
 
 Whole-graph passes cost per item, not per item times graph size:
 ``bits`` walks a set of s vertices of a V-vertex graph in O(V/64 + s)
@@ -63,14 +63,6 @@ def bits(mask: int):
         mask ^= lsb
 
 
-def mask_of(indices) -> int:
-    m = 0
-    for i in indices:
-        require_int("vertex index", i, 0)
-        m |= 1 << i
-    return m
-
-
 @dataclass(frozen=True)
 class GenericGraph:
     """Arbitrary simple graph; adjacency is symmetric and irreflexive."""
@@ -120,12 +112,11 @@ def require_simple(g: GenericGraph) -> None:
 
 
 def vertex_mask(g: GenericGraph, s) -> int:
-    """Bitset of the vertex set s of g, given as a bitset or as indices."""
-    mask = mask_of(s) if hasattr(s, "__iter__") else s
-    require_int("vertex set", mask, 0)  # True is no name for the set {0}
-    if mask >> g.order:
+    """The vertex bitset s of g; anything else raises DomainError."""
+    require_int("vertex set", s, 0)  # True is no name for the set {0}
+    if s >> g.order:
         raise DomainError("vertex set is not a subset of the graph")
-    return mask
+    return s
 
 
 def graph_from_edges(order: int, edges) -> GenericGraph:

@@ -16,7 +16,8 @@ with the complement of its last element's center.  A vertex is found
 from its k elements the same way: the intersection of their k centers
 holds that vertex and no other.  ``certificate_mask`` is the one place
 that turns a certificate into a vertex bitset, and ``_lex_elements`` the
-one that turns vertex indices back into elements.
+one that turns vertex indices back into elements, so no other module
+reads the vertex table ``KneserGraph.vertices``.
 """
 
 from __future__ import annotations
@@ -91,14 +92,13 @@ class KneserGraph(GenericGraph):
     centers: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def vertex_index(self, vertex) -> int:
-        """Index of a vertex given as an index or an element iterable.
+        """Index of the vertex whose elements ``vertex`` lists, in any order.
 
         The vertices holding every element are the intersection of their
         centers, which for k distinct elements is exactly the vertex.
         """
         if not hasattr(vertex, "__iter__"):
-            require_int("vertex index", vertex, 0, self.order - 1)
-            return vertex
+            raise DomainError(f"a vertex is named by its elements, got {type(vertex).__name__}")
         elements = tuple(vertex)
         common = -1  # every bit set: every vertex, without a V-bit allocation
         for e in elements:
@@ -115,7 +115,7 @@ class KneserGraph(GenericGraph):
         return self.centers[i - 1]
 
     def vertex_set_elements(self, s) -> tuple[tuple[int, ...], ...]:
-        """Element tuples of the vertex set ``s``, a bitset or indices."""
+        """Element tuples of the vertex bitset ``s``, in vertex order."""
         return tuple(_lex_elements(self.n, self.k, vertex_mask(self, s)))
 
 
@@ -206,7 +206,7 @@ def build_kneser(n: int, k: int) -> KneserGraph:
 
 
 def edge_nonneighbors(g: KneserGraph, x, y) -> int:
-    """Vertices outside N[x] u N[y] for an adjacent pair x, y, as a bitset.
+    """Vertices outside N[x] u N[y] for adjacent x, y (element lists), as a bitset.
 
     Every returned vertex meets both x and y, so together with {x, y} these
     are the only vertices a dissociation set containing the edge xy may use.

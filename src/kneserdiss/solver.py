@@ -610,7 +610,6 @@ def _edge_orbit_roots(g: KneserGraph, d: int, start, expand, incumbent: int) -> 
     # the free set the include rule leaves after x and then y (module docstring)
     state = start(*_degd_include(adj, d, *_degd_include(adj, d, g.full_mask, 0, x), y))
     xs, ys = _edge_type_layers(g)
-    low = (1 << k) - 1
     roots = []
     while True:
         kids = []  # the exclude child, then the include child
@@ -620,10 +619,11 @@ def _edge_orbit_roots(g: KneserGraph, d: int, start, expand, incumbent: int) -> 
             return roots
         exclude, include = kids
         roots.append(include)
-        # the chosen set is the last entry of either engine's state
-        v = (include[-1] ^ state[-1]).bit_length() - 1
-        m = g.vertices[v].mask
-        a, b = (m & low).bit_count(), (m >> k & low).bit_count()
+        # the include child adds the branch vertex alone to the chosen set, the
+        # last entry of either engine's state; its type (a, b) names its layers
+        v = include[-1] ^ state[-1]
+        a = next(a for a, layer in enumerate(xs) if layer & v)
+        b = next(b for b, layer in enumerate(ys) if layer & v)
         state = (state[0] & ~(xs[a] & ys[b] | xs[b] & ys[a]),) + exclude[1:]
 
 

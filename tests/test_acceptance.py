@@ -190,7 +190,7 @@ def test_criterion_10_odd_graph_expansion():
             checked = 0
             for size in range(1, len(center) + 1):
                 for sub in combinations(center, size):
-                    assert odd_expansion_check(g, sub), (k, sub)
+                    assert odd_expansion_check(g, sum(1 << v for v in sub)), (k, sub)
                     checked += 1
             assert checked == 2 ** len(center) - 1
             bottom = g.full_mask & ~g.center_mask(2 * k + 1)

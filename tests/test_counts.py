@@ -43,10 +43,11 @@ COUNTS = [
     ("enumerate_k_subsets", kd.enumerate_k_subsets, (5, 2), ANY_K),
     ("build_kneser", kd.build_kneser, (5, 2), ANY_K),
     ("solve_kneser", kd.solve_kneser, (5, 2), ANY_K),
-    # test_vertex_index_rejects_non_vertices covers a bool or string index
-    ("vertex_index", PETERSEN.vertex_index, (2,), ((float,),)),
+    # a vertex is named by its elements, each of them a count
+    ("vertex_index", lambda e: PETERSEN.vertex_index((1, e)), (2,), (ALL,)),
     ("graph_from_edges", lambda order: kd.graph_from_edges(order, []), (3,), (ALL,)),
-    ("mask_of", lambda i: kd.mask_of([i]), (1,), (ALL,)),
+    # a vertex set is an int bitset, the cover of check_p3_cover among them
+    ("p3_cover_bitset", lambda s: kd.check_p3_cover(PETERSEN, s), (1,), (ALL,)),
     ("brute_force", lambda d: kd.brute_force(PETERSEN, d), (1,), (ALL,)),
     ("window_masks", RING.window_masks, (2,), (ALL,)),
     ("all_arrangements", lambda n: list(kd.all_arrangements(n)), (4,), (ALL,)),
@@ -55,12 +56,11 @@ COUNTS = [
      (ALL, ALL)),
     ("substrings_in_arrangement", lambda k: kd.substrings_in_arrangement(RING, [], k), (2,),
      (ALL,)),
-    # the odd-graph checks take the graph; an element of a vertex of L is
-    # their one count (test_kneser covers a bool element)
-    ("odd_neighborhood", lambda e: kd.odd_neighborhood(PETERSEN, [(1, e)]), (5,), (NO_BOOL,)),
-    ("odd_expansion_check", lambda e: kd.odd_expansion_check(PETERSEN, [(1, e)]), (5,),
-     (NO_BOOL,)),
-    ("odd_hall_matching", lambda e: kd.odd_hall_matching(PETERSEN, [(1, e)]), (5,), (NO_BOOL,)),
+    # the odd-graph checks take the graph; the bitset L of center vertices
+    # is their one count
+    ("odd_neighborhood", lambda s: kd.odd_neighborhood(PETERSEN, s), (1 << 3,), (ALL,)),
+    ("odd_expansion_check", lambda s: kd.odd_expansion_check(PETERSEN, s), (1 << 3,), (ALL,)),
+    ("odd_hall_matching", lambda s: kd.odd_hall_matching(PETERSEN, s), (1 << 3,), (ALL,)),
     ("CyclicArrangement", lambda e: kd.CyclicArrangement((1, 2, e)), (3,), (ALL,)),
 ]
 
@@ -77,8 +77,7 @@ CASES = [
     for pos, kinds in enumerate(kinds_at)
     for kind in kinds
 ] + [
-    # more calls that gave a wrong answer with no error; mask_of-0-bool,
-    # mask_of([True]), is the fifth
+    # more calls that gave a wrong answer with no error
     pytest.param(lambda: kd.alpha_equality_lower(2.5), id="alpha_equality_lower(2.5)"),
     pytest.param(lambda: kd.subgraph_lower(6, True), id="subgraph_lower(6,True)"),
     pytest.param(lambda: kd.binom(True, 1), id="binom(True,1)"),

@@ -29,7 +29,7 @@ PUBLIC = [
     "double_count_identity", "find_x_matching", "max_substrings", "odd_expansion_check",
     "odd_expansion_violator", "odd_hall_matching", "odd_neighborhood",
     "substrings_in_arrangement", "CapacityError", "DomainError", "SearchFailure",
-    "GenericGraph", "bits", "graph_from_edges", "induced_subgraph", "mask_of",
+    "GenericGraph", "bits", "graph_from_edges", "induced_subgraph",
     "read_dimacs", "write_dimacs", "KneserGraph", "KSubset", "build_kneser",
     "edge_nonneighbors", "enumerate_k_subsets", "kneser_from_json", "kneser_to_json",
     "SearchBudget", "SolveResult", "brute_force", "heuristic_lower", "psi3", "solve",

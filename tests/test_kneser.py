@@ -25,7 +25,7 @@ from kneserdiss import (
     induced_subgraph,
     kneser_from_json,
     kneser_to_json,
-    odd_neighborhood,
+    odd_hall_matching,
     read_dimacs,
     write_dimacs,
 )
@@ -133,19 +133,27 @@ def test_vertex_index_finds_every_vertex(n, k):
     g = build_kneser(n, k)
     for i, v in enumerate(g.vertices):
         els = v.elements
-        for given in (els, list(els), els[::-1], i):
+        for given in (els, list(els), els[::-1], iter(els)):
             assert g.vertex_index(given) == i, (n, k, given)
 
 
 def test_removed_vertex_forms_raise_domain_error():
-    # a vertex is an index or its elements; a KSubset, and a vertex set
-    # that is a bool, negative or past the graph, names nothing
+    # a vertex is named by its elements and a vertex set is a bitset; an
+    # index or a KSubset for a vertex, and a list of indices or a bitset
+    # that is a bool, negative or past the graph for a set, name nothing
     g = build_kneser(5, 2)
-    with pytest.raises(DomainError, match="not an int"):
-        g.vertex_index(KSubset(0b11, 5))
-    for bad in (-1, 1 << g.order, True):
+    for bad in (KSubset(0b11, 5), 3):
+        with pytest.raises(DomainError, match="named by its elements"):
+            g.vertex_index(bad)
+    with pytest.raises(DomainError, match="named by its elements"):
+        edge_nonneighbors(g, 0, 9)
+    for bad in (-1, 1 << g.order, True, [0, 1]):
         with pytest.raises(DomainError):
             g.vertex_set_elements(bad)
+    with pytest.raises(DomainError, match="not an int"):
+        check_max_degree(g, [0], 1)
+    with pytest.raises(DomainError, match="not an int"):
+        odd_hall_matching(g, [0])
 
 
 def test_vertex_set_elements_unranks_without_the_vertex_table():
@@ -154,8 +162,8 @@ def test_vertex_set_elements_unranks_without_the_vertex_table():
         g = build_kneser(n, k)
         bare = dataclasses.replace(g, vertices=())
         assert bare.vertex_set_elements(g.full_mask) == tuple(v.elements for v in g.vertices)
-        assert bare.vertex_set_elements([0, g.order - 1]) == (g.vertices[0].elements,
-                                                              g.vertices[-1].elements)
+        assert bare.vertex_set_elements(1 | 1 << g.order - 1) == (g.vertices[0].elements,
+                                                                  g.vertices[-1].elements)
         assert bare.vertex_set_elements(0) == ()
 
 
@@ -175,8 +183,9 @@ def test_vertex_index_rejects_non_vertices():
     # three entries but two elements, the set of a vertex
     with pytest.raises(DomainError, match=r"\{1,1,2\} is not a vertex of K\(5,2\)"):
         g.vertex_index((1, 1, 2))
-    for bad in (-1, 10):
-        with pytest.raises(DomainError, match="out of range"):
+    # an index, in range or not, names no vertex; its elements do
+    for bad in (-1, 0, 10, None):
+        with pytest.raises(DomainError, match="named by its elements"):
             g.vertex_index(bad)
     # a KSubset of a larger ground set names no vertex of K(5,2)
     with pytest.raises(DomainError):
@@ -186,14 +195,12 @@ def test_vertex_index_rejects_non_vertices():
         with pytest.raises(DomainError, match="bool"):
             g.vertex_index(flag)
     # nor is True element 1 inside a vertex, and 2.0 is no element at all
-    for bad in ((True, 2), (2, True), (2.0, 3), (1, "2")):
+    for bad in ((True, 2), (2, True), (2.0, 3), (1, "2"), "12"):
         with pytest.raises(DomainError, match="not an int"):
             g.vertex_index(bad)
     for bad in (True, False, 2.0, "2", None):
         with pytest.raises(DomainError, match="not an int"):
             g.center_mask(bad)
-    with pytest.raises(DomainError, match="not an int"):
-        odd_neighborhood(g, [(True, 5)])
 
 
 def build_digest(g):
@@ -390,7 +397,7 @@ def test_edge_nonneighbors_size_is_edge_invariant():
         g = build_kneser(n, k)
         edges = list(g.edges())
         sizes = {
-            edge_nonneighbors(g, u, v).bit_count()
+            edge_nonneighbors(g, *g.vertex_set_elements(1 << u | 1 << v)).bit_count()
             for u, v in rng.sample(edges, min(20, len(edges)))
         }
         assert len(sizes) == 1

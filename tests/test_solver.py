@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 import os
 import random
@@ -440,7 +441,7 @@ def test_edge_start_is_the_engine_path(monkeypatch):
         edge = 1 | 1 << y
         build, expand = solver_module._engine(g.adj, 1)
         path = scripted_include(expand, scripted_include(expand, build(g.full_mask, 0), 0), y)
-        free = edge_nonneighbors(g, 0, y)
+        free = edge_nonneighbors(g, range(1, k + 1), range(k + 1, 2 * k + 1))
         assert engine_view(path) == (free, 0, 0, edge), (n, k)
         types = edge_types(g)
         for d in (1, 2, 3):
@@ -656,7 +657,7 @@ def test_edge_start_counts_free_degrees_once_on_m(monkeypatch):
         res = solve_kneser(n, k, 1, SearchBudget(max_nodes=50))
         assert res.nodes_explored > 0, (n, k)
         g = build_kneser(n, k)
-        m = edge_nonneighbors(g, 0, g.vertex_index(range(k + 1, 2 * k + 1)))
+        m = edge_nonneighbors(g, range(1, k + 1), range(k + 1, 2 * k + 1))
         assert counted == [m], (n, k)
 
 
@@ -778,7 +779,7 @@ def test_edge_orbit_masks_are_orbits():
         yi = g.vertex_index(sorted(y))
         orbit_masks = [xs[a] & ys[b] | xs[b] & ys[a]
                        for a in range(k + 1) for b in range(a, k + 1 - a)]
-        starts = (g.full_mask & ~(1 | 1 << yi), edge_nonneighbors(g, 0, yi))
+        starts = (g.full_mask & ~(1 | 1 << yi), edge_nonneighbors(g, x, y))
         for free in (g.full_mask,) + starts:
             parts = [m & free for m in orbit_masks]
             assert sum(p.bit_count() for p in parts) == free.bit_count(), (n, k)
@@ -807,6 +808,23 @@ def test_start_states_wait_for_a_search(monkeypatch):
         res = solve_kneser(n, k, 1)
         assert res.optimal and res.nodes_explored == 0, (n, k)
         assert res.bound_source is not None
+
+
+def test_edge_orbit_roots_need_no_vertex_table(monkeypatch):
+    # the branch vertices' types come from the bit-sliced layers, so a
+    # graph with an empty vertex table searches the same tree
+    cases = ((8, 3, 1), (7, 3, 2), (9, 4, 1))
+
+    def run():
+        return [solve_kneser(n, k, d, SearchBudget(max_nodes=500)) for n, k, d in cases]
+
+    want = run()
+    real = kneser_module.build_kneser
+    monkeypatch.setattr(kneser_module, "build_kneser",
+                        lambda n, k: dataclasses.replace(real(n, k), vertices=()))
+    for case, a, b in zip(cases, want, run()):
+        assert (b.best_size, b.nodes_explored, b.witness, b.optimal) == (
+            a.best_size, a.nodes_explored, a.witness, a.optimal), case
 
 
 # plain solve at d = 2, 3, one worker: the optimum, recorded from the
